@@ -320,7 +320,6 @@ QueryService::CachedEvaluator& QueryService::EvaluatorFor(
   sharded_options.plane_store = store;
   sharded_options.pool = &pool_;
   sharded_options.num_shards = options_.num_shards;
-  sharded_options.enable_jump = options_.enable_jump;
   evaluators_.push_back(std::make_unique<CachedEvaluator>(
       *tree_, std::move(sorted_mfas), sharded_options));
   evaluators_.back()->last_used = evaluator_clock_;

@@ -78,9 +78,6 @@ struct QueryServiceOptions {
   /// evaluator it ever creates).
   const xml::DocPlane* plane = nullptr;
 
-  /// Label-skipping jump mode in the evaluators (hype/batch_hype.h).
-  bool enable_jump = true;
-
   /// Evaluation pool width; 0 = hardware concurrency.
   int num_threads = 0;
 

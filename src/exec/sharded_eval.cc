@@ -37,14 +37,8 @@ ShardedBatchEvaluator::ShardedBatchEvaluator(
                        : nullptr),
       store_(options.plane_store == nullptr ? store_owned_.get()
                                             : options.plane_store) {
-  hype::HypeOptions engine_options;
-  engine_options.index = options_.index;
   probes_.reserve(mfas_.size());
-  for (const automata::Mfa* mfa : mfas_) {
-    engine_options.transition_plane = store_->For(mfa);
-    probes_.push_back(
-        std::make_unique<hype::HypeEngine>(tree_, *mfa, engine_options));
-  }
+  for (const automata::Mfa* mfa : mfas_) probes_.push_back(store_->For(mfa));
 }
 
 ShardedBatchEvaluator::~ShardedBatchEvaluator() = default;
@@ -157,9 +151,9 @@ void ShardedBatchEvaluator::ProbeQueries(xml::NodeId context) {
 
   std::vector<int32_t> spine_cfg;
   for (size_t q = 0; q < n; ++q) {
-    hype::HypeEngine& probe = *probes_[q];
+    hype::TransitionPlane& probe = *probes_[q];
     spine_cfg.assign(plan_.spine.size(), -1);
-    spine_cfg[0] = probe.PrepareRoot(context);
+    spine_cfg[0] = probe.ContextConfig(context, nullptr);
     if (spine_cfg[0] < 0) {
       ++stats_.num_dead_queries;
       continue;
@@ -171,17 +165,19 @@ void ShardedBatchEvaluator::ProbeQueries(xml::NodeId context) {
         // the parent configuration is already resolved.
         int32_t parent_cfg = spine_cfg[plan_.spine[j].parent];
         if (parent_cfg < 0) continue;  // pruned above: subtree untouched
-        hype::HypeEngine::SuccRef succ = probe.PeekTransition(
-            parent_cfg, tree_.label(plan_.spine[j].node), plan_.spine[j].eff);
-        if (probe.ConfigDead(succ.config)) continue;
+        hype::SuccRef succ =
+            probe.Transition(parent_cfg, tree_.label(plan_.spine[j].node),
+                             plan_.spine[j].eff, nullptr);
+        if (probe.config(succ.config).dead) continue;
         spine_cfg[j] = succ.config;
       }
       ++spine_visits_[q];
-      if (!probe.ConfigSimple(spine_cfg[j])) {
+      const hype::TransitionPlane::Config& cfg = probe.config(spine_cfg[j]);
+      if (!cfg.IsSimple()) {
         shardable = false;
         break;
       }
-      if (probe.ConfigHasFinal(spine_cfg[j])) {
+      if (cfg.has_final) {
         spine_answers_[q].push_back(plan_.spine[j].node);
       }
     }

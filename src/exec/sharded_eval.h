@@ -15,7 +15,8 @@
 // and repeated batches start warm.
 // Per-shard answers are merged deterministically (units are kept in document
 // order; the merge never depends on thread scheduling), so EvalAll returns
-// bit-identical answers to a solo BatchHypeEvaluator / HypeEvaluator run.
+// bit-identical answers to one whole-tree BatchHypeEvaluator pass (and so to
+// HypeEvaluator, its one-slot form).
 //
 // Soundness of the decomposition requires that no evaluation state cross a
 // unit boundary: every configuration a query holds on the SPINE (the context
@@ -170,10 +171,10 @@ class ShardedBatchEvaluator {
   std::unique_ptr<hype::TransitionPlaneStore> store_owned_;
   hype::TransitionPlaneStore* store_;
 
-  // One probe engine per query: computes the spine configurations, decides
-  // shardability, and emits spine-node answers. Probes run only on the
-  // EvalAll caller thread.
-  std::vector<std::unique_ptr<hype::HypeEngine>> probes_;
+  // Each query's shared transition plane, probed to compute the spine
+  // configurations, decide shardability, and emit spine-node answers.
+  // Probes run only on the EvalAll caller thread.
+  std::vector<std::shared_ptr<hype::TransitionPlane>> probes_;
 
   Plan plan_;
   // Probe results for plan_.context (stable across calls, so workers and

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "hype/batch_hype.h"
-#include "hype/engine.h"
+#include "hype/transition_plane.h"
 
 namespace smoqe::exec {
 
@@ -61,10 +61,8 @@ NodeId AnchorOnOldTree(const Tree& old_tree, const xml::DeltaOp& op) {
 }  // namespace
 
 StandingQueryEvaluator::StandingQueryEvaluator(
-    xml::PlaneEpoch base, std::vector<const automata::Mfa*> mfas,
-    StandingQueryOptions options)
+    xml::PlaneEpoch base, std::vector<const automata::Mfa*> mfas)
     : mfas_(std::move(mfas)),
-      options_(options),
       binding_(base),
       epoch_(std::move(base)) {
   store_ = std::make_unique<hype::TransitionPlaneStore>(*binding_.tree,
@@ -87,7 +85,6 @@ bool StandingQueryEvaluator::FullEval(
   hype::BatchHypeOptions batch_options;
   batch_options.plane = epoch.plane.get();
   batch_options.plane_store = store_.get();
-  batch_options.enable_jump = options_.enable_jump;
   hype::BatchHypeEvaluator eval(*epoch.tree, std::move(subset),
                                 batch_options);
   std::vector<std::vector<NodeId>> results =
@@ -180,25 +177,23 @@ Status StandingQueryEvaluator::Advance(const xml::PlaneEpoch& next,
   // Classify every query by probing its configuration chain.
   std::vector<uint32_t> spliced;
   std::vector<uint32_t> full;
+  int64_t* interned = &out->configs_interned;
   for (uint32_t q = 0; q < mfas_.size(); ++q) {
-    hype::HypeOptions probe_options;
-    probe_options.transition_plane = store_->For(mfas_[q]);
-    probe_options.enable_jump = options_.enable_jump;
-    hype::HypeEngine probe(new_tree, *mfas_[q], probe_options);
-    int32_t config = probe.PrepareRoot(new_tree.root());
+    const std::shared_ptr<hype::TransitionPlane> probe =
+        store_->For(mfas_[q]);
+    int32_t config = probe->ContextConfig(new_tree.root(), interned);
     bool dead = config < 0;
     bool simple_above = true;
     for (size_t j = 1; !dead && j < chain.size(); ++j) {
-      if (!probe.ConfigSimple(config)) {
+      if (!probe->config(config).IsSimple()) {
         simple_above = false;
         break;
       }
-      const hype::SuccRef succ =
-          probe.PeekTransition(config, new_tree.label(chain[j]), 0);
-      config = succ.config;
-      dead = probe.ConfigDead(config);
+      config =
+          probe->Transition(config, new_tree.label(chain[j]), 0, interned)
+              .config;
+      dead = probe->config(config).dead;
     }
-    out->configs_interned += probe.stats().configs_interned;
     if (dead) {
       // The query never reaches the edited subtree; with identical labels
       // along the chain its old pass died at the same node, so the answer
@@ -224,7 +219,6 @@ Status StandingQueryEvaluator::Advance(const xml::PlaneEpoch& next,
     hype::BatchHypeOptions batch_options;
     batch_options.plane = next.plane.get();
     batch_options.plane_store = store_.get();
-    batch_options.enable_jump = options_.enable_jump;
     hype::BatchHypeEvaluator eval(new_tree, std::move(subset), batch_options);
     std::vector<std::vector<NodeId>> inside =
         eval.EvalSubtree(new_tree.root(), region, gp);

@@ -52,11 +52,6 @@
 
 namespace smoqe::exec {
 
-struct StandingQueryOptions {
-  /// Label-skipping jump mode for the full and subtree passes.
-  bool enable_jump = true;
-};
-
 struct AdvanceStats {
   int64_t queries_skipped = 0;   // dead on the chain: answers carried over
   int64_t queries_spliced = 0;   // subtree re-eval + splice
@@ -70,8 +65,7 @@ class StandingQueryEvaluator {
   /// Evaluates every MFA once over `base` (the cold pass that warms the
   /// shared planes). The MFAs must outlive the evaluator.
   StandingQueryEvaluator(xml::PlaneEpoch base,
-                         std::vector<const automata::Mfa*> mfas,
-                         StandingQueryOptions options = {});
+                         std::vector<const automata::Mfa*> mfas);
 
   /// Rolls the answer sets forward to `next`, which must be the epoch
   /// `delta` produced (versions are checked). `delta` is inspected, not
@@ -111,7 +105,6 @@ class StandingQueryEvaluator {
   void Rebind(const xml::PlaneEpoch& epoch);
 
   std::vector<const automata::Mfa*> mfas_;
-  StandingQueryOptions options_;
   xml::PlaneEpoch binding_;  // the epoch store_'s label binding came from
   std::unique_ptr<hype::TransitionPlaneStore> store_;
   xml::PlaneEpoch epoch_;  // answers_ are current here

@@ -8,7 +8,6 @@
 namespace smoqe::hype {
 
 BatchHypeEvaluator::BatchHypeEvaluator(const xml::Tree& tree,
-                                       std::vector<const automata::Mfa*> mfas,
                                        BatchHypeOptions options)
     : tree_(tree),
       options_(options),
@@ -17,6 +16,12 @@ BatchHypeEvaluator::BatchHypeEvaluator(const xml::Tree& tree,
       plane_(options.plane == nullptr ? &plane_owned_ : options.plane) {
   assert(plane_->size() == tree.CountElements() &&
          "plane must mirror the evaluated tree");
+}
+
+BatchHypeEvaluator::BatchHypeEvaluator(const xml::Tree& tree,
+                                       std::vector<const automata::Mfa*> mfas,
+                                       BatchHypeOptions options)
+    : BatchHypeEvaluator(tree, options) {
   engines_.reserve(mfas.size());
   HypeOptions engine_options;
   engine_options.index = options_.index;
@@ -27,6 +32,18 @@ BatchHypeEvaluator::BatchHypeEvaluator(const xml::Tree& tree,
                                         : nullptr;
     engines_.push_back(std::make_unique<HypeEngine>(tree, *mfa, engine_options));
   }
+}
+
+BatchHypeEvaluator::BatchHypeEvaluator(const xml::Tree& tree,
+                                       const automata::Mfa& mfa,
+                                       HypeOptions options)
+    : BatchHypeEvaluator(tree, BatchHypeOptions{.index = options.index,
+                                                .plane = options.plane,
+                                                .enable_jump =
+                                                    options.enable_jump}) {
+  options.plane = plane_;
+  engines_.push_back(
+      std::make_unique<HypeEngine>(tree, mfa, std::move(options)));
 }
 
 int32_t BatchHypeEvaluator::InternState(std::vector<Member> members) {
@@ -264,8 +281,7 @@ std::vector<std::vector<xml::NodeId>> BatchHypeEvaluator::EvalSubtree(
   pass_stats_ = SharedPassStats{};
   // Entry refresh: a pass that is already cancelled or past its deadline
   // must abort before any work, countdown notwithstanding (the tree may be
-  // smaller than one checkpoint interval). Mirrors the solo and sharded
-  // entry points.
+  // smaller than one checkpoint interval). Mirrors the sharded entry point.
   if (gate != nullptr && !gate->Refresh()) {
     return std::vector<std::vector<xml::NodeId>>(engines_.size());
   }

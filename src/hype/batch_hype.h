@@ -50,10 +50,11 @@
 // `visits`, keeping per-engine statistics bit-identical to solo runs (the
 // randomized suite in tests/doc_plane_test.cc pins jump ≡ full-DFS ≡ solo).
 //
-// Per-query answers and statistics are identical to running HypeEvaluator
-// separately by construction; the randomized equivalence suite
-// (tests/batch_hype_test.cc) enforces this across batch sizes and index
-// modes.
+// This is the only HyPE traversal driver: the solo HypeEvaluator (hype.h)
+// is a one-slot batch. Per-query answers and statistics are identical to
+// evaluating each query alone by construction; the randomized equivalence
+// suite (tests/batch_hype_test.cc) enforces this across batch sizes and
+// index modes, and against the naive evaluator.
 //
 // The evaluator is reusable: repeated EvalAll calls keep the joint tables
 // and each engine's transition plane warm.
@@ -68,6 +69,7 @@
 #include <vector>
 
 #include "automata/mfa.h"
+#include "common/cancellation.h"
 #include "hype/engine.h"
 #include "hype/index.h"
 #include "hype/transition_plane.h"
@@ -101,6 +103,13 @@ struct BatchHypeOptions {
   bool enable_jump = true;
 };
 
+/// Statistics of one shared pass (driver-side, per walk not per engine).
+struct SharedPassStats {
+  int64_t nodes_walked = 0;     // element nodes the shared walk entered
+  int64_t subtrees_skipped = 0; // children pruned by every live engine
+  int64_t positions_jumped = 0; // transparent positions skipped by jump mode
+};
+
 class BatchHypeEvaluator {
  public:
   /// The MFAs must outlive the evaluator. They may repeat (each slot still
@@ -109,6 +118,13 @@ class BatchHypeEvaluator {
   BatchHypeEvaluator(const xml::Tree& tree,
                      std::vector<const automata::Mfa*> mfas,
                      BatchHypeOptions options = {});
+
+  /// One-slot evaluator over `mfa` (the HypeEvaluator front end): the engine
+  /// is built from `options` as given, so a caller-supplied
+  /// `options.transition_plane` backs the slot; index, plane and jump mode
+  /// carry over to the driver.
+  BatchHypeEvaluator(const xml::Tree& tree, const automata::Mfa& mfa,
+                     HypeOptions options);
 
   /// Evaluates every MFA at `context` in one shared pass; result i is the
   /// sorted answer set of mfas[i] (== HypeEvaluator(tree, *mfas[i]).Eval).
@@ -212,6 +228,10 @@ class BatchHypeEvaluator {
     JointState* st;  // states_[joint], cached for the per-child hot path
     bool jump;       // posting-driven scan for this frame
   };
+
+  // Shared by both public constructors: options and the owned plane; the
+  // caller adds the engines.
+  BatchHypeEvaluator(const xml::Tree& tree, BatchHypeOptions options);
 
   int32_t InternState(std::vector<Member> members);
   int64_t EdgeFor(JointState& st, int32_t state, LabelId label,

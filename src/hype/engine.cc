@@ -44,13 +44,6 @@ int32_t HypeEngine::PrepareRoot(xml::NodeId context) {
   return trans_->ContextConfig(context, &stats_.configs_interned);
 }
 
-bool HypeEngine::Start(xml::NodeId context) {
-  int32_t root_config = PrepareRoot(context);
-  if (root_config < 0) return false;
-  BeginFrames(root_config);
-  return true;
-}
-
 void HypeEngine::BeginFrames(int32_t config) {
   assert(depth_ == -1);
   Frame& bottom = FrameAt(0);
@@ -70,14 +63,6 @@ void HypeEngine::DescendWith(SuccRef succ) {
   child.entered_in_region = frame.region;
   ++depth_;
   EnterNode();
-}
-
-bool HypeEngine::DescendInto(LabelId child_label, int32_t child_eff_set) {
-  SuccRef succ =
-      PeekTransition(frames_[depth_]->config, child_label, child_eff_set);
-  if (trans_->config(succ.config).dead) return false;  // prune the subtree
-  DescendWith(succ);
-  return true;
 }
 
 // Prologue of one node of the pass. The node's configuration lives in the
@@ -275,210 +260,6 @@ std::vector<xml::NodeId> HypeEngine::TakeAnswers() {
   }
   answers.erase(std::unique(answers.begin(), answers.end()), answers.end());
   return answers;
-}
-
-SharedPassStats RunSharedPass(const xml::Tree& tree,
-                              const xml::DocPlane& plane,
-                              const SubtreeLabelIndex* index,
-                              xml::NodeId context,
-                              std::span<HypeEngine* const> engines,
-                              bool enable_jump,
-                              EvalGate* gate) {
-  SharedPassStats pass;
-  if (engines.empty()) return pass;
-
-  // Per-frame live-engine lists and merged relevant-label sets live in
-  // stack-disciplined arenas: a frame's slices are appended when it is
-  // pushed and reclaimed at pop, so per-child work is proportional to the
-  // engines actually live at the parent, not to the batch size.
-  struct WalkFrame {
-    int32_t pos;     // plane position of this node
-    int32_t end;     // one past the last descendant position
-    int32_t cursor;  // next position to consider inside (pos, end)
-    int32_t eff_set;
-    size_t live_begin;
-    size_t live_end;
-    bool jump;       // posting-driven scan: all live engines jump-safe
-    bool owns_rel;   // frame appended its own rel_arena slice (vs shared)
-    size_t rel_begin;
-    size_t rel_end;
-  };
-  std::vector<WalkFrame> stack;
-  stack.reserve(64);
-  std::vector<uint32_t> live;
-  live.reserve(engines.size() * 8);
-  std::vector<LabelId> rel_arena;
-  std::vector<int32_t> chain;  // candidate-ancestor scratch, bottom-up
-
-  // Decides the scan mode of the frame just pushed (every live engine has
-  // already descended into it): jump iff jump is allowed, there is no index
-  // (transitions must not depend on per-node label sets), and every live
-  // engine is jump-safe at its open frame; the frame then carries the union
-  // of the live engines' relevant labels.
-  auto decide_jump = [&](WalkFrame* f) {
-    f->jump = false;
-    f->owns_rel = false;
-    f->rel_begin = f->rel_end = rel_arena.size();
-    if (!enable_jump || index != nullptr) return;
-    for (size_t k = f->live_begin; k < f->live_end; ++k) {
-      const HypeEngine& e = *engines[live[k]];
-      if (!e.ConfigJumpSafe(e.TopConfig(), e.TopFrameInRegion())) return;
-    }
-    for (size_t k = f->live_begin; k < f->live_end; ++k) {
-      HypeEngine& e = *engines[live[k]];
-      std::span<const LabelId> r = e.RelevantLabels(e.TopConfig());
-      rel_arena.insert(rel_arena.end(), r.begin(), r.end());
-    }
-    std::sort(rel_arena.begin() + f->rel_begin, rel_arena.end());
-    rel_arena.erase(
-        std::unique(rel_arena.begin() + f->rel_begin, rel_arena.end()),
-        rel_arena.end());
-    // Density gate (cost model only -- answers identical either way): leap
-    // only when the merged posting mass says most positions get skipped;
-    // label-dense frames scan linearly, which is cheaper per position.
-    int64_t posting_mass = 0;
-    for (size_t r = f->rel_begin; r < rel_arena.size(); ++r) {
-      posting_mass += static_cast<int64_t>(plane.postings(rel_arena[r]).size());
-    }
-    if (posting_mass * 4 >= plane.size()) {
-      rel_arena.resize(f->rel_begin);
-      return;
-    }
-    f->rel_end = rel_arena.size();
-    f->owns_rel = true;
-    f->jump = true;
-  };
-
-  const int32_t top_pos = plane.pos_of(context);
-  const int32_t root_eff =
-      index != nullptr ? index->SetForContext(tree, context) : 0;
-  ++pass.nodes_walked;
-  for (size_t i = 0; i < engines.size(); ++i) {
-    live.push_back(static_cast<uint32_t>(i));  // Start() already entered
-  }
-  stack.push_back({top_pos, plane.end_of(top_pos), top_pos + 1, root_eff, 0,
-                   live.size(), false, false, 0, 0});
-  decide_jump(&stack.back());
-
-  while (!stack.empty()) {
-    // One poll per walk step bounds cancellation latency: a step enters at
-    // most one node, so an abort lands within `checkpoint_interval` node
-    // entries of the cancel/deadline event. Partial engine state is simply
-    // abandoned -- the caller discards answers and the next Start() resets.
-    if (gate != nullptr && !gate->Poll()) return pass;
-
-    WalkFrame& top = stack.back();
-
-    // Locate the next position to enter: the cursor itself (full scan) or
-    // the next posting of a relevant label (jump mode), bulk-accounting the
-    // transparent positions leapt over.
-    int32_t c = top.end;
-    if (top.cursor < top.end) {
-      if (!top.jump) {
-        c = top.cursor;
-      } else {
-        int32_t next = top.end;
-        for (size_t r = top.rel_begin; r < top.rel_end; ++r) {
-          std::span<const int32_t> p = plane.postings(rel_arena[r]);
-          auto it = std::lower_bound(p.begin(), p.end(), top.cursor);
-          if (it != p.end() && *it < next) next = *it;
-        }
-        if (next >= top.end) {
-          // The rest of the subtree is transparent: every skipped position
-          // is one the full DFS would have entered without effect, so only
-          // the visit counters need restoring.
-          const int64_t skipped = top.end - top.cursor;
-          pass.positions_jumped += skipped;
-          for (size_t k = top.live_begin; k < top.live_end; ++k) {
-            engines[live[k]]->AddVisited(skipped);
-          }
-          top.cursor = top.end;
-        } else {
-          // Reconstruct the enter/exit event stream for the candidate's
-          // transparent ancestors (they all lie in [cursor, next): cursor
-          // is a subtree frontier, so an ancestor below it would contain
-          // the candidate in an already-closed subtree). Each gets a real
-          // frame -- state transitions replay exactly as the full DFS
-          // would -- sharing the parent's relevant set, since self-loops
-          // leave every configuration unchanged.
-          chain.clear();
-          for (int32_t a = plane.parent(next); a != top.pos;
-               a = plane.parent(a)) {
-            chain.push_back(a);
-          }
-          const int64_t skipped =
-              (next - top.cursor) - static_cast<int64_t>(chain.size());
-          pass.positions_jumped += skipped;
-          if (skipped > 0) {
-            for (size_t k = top.live_begin; k < top.live_end; ++k) {
-              engines[live[k]]->AddVisited(skipped);
-            }
-          }
-          if (chain.empty()) {
-            c = next;
-          } else {
-            for (size_t j = chain.size(); j-- > 0;) {
-              const int32_t a = chain[j];
-              WalkFrame& parent_frame = stack.back();
-              const LabelId al = plane.label(a);
-              const size_t child_begin = live.size();
-              for (size_t k = parent_frame.live_begin;
-                   k < parent_frame.live_end; ++k) {
-                const uint32_t ei = live[k];
-                const bool descended = engines[ei]->DescendInto(al, 0);
-                assert(descended && "transparent label must not prune");
-                (void)descended;
-                live.push_back(ei);
-              }
-              parent_frame.cursor = plane.end_of(a);
-              ++pass.nodes_walked;
-              stack.push_back({a, plane.end_of(a),
-                               j > 0 ? plane.end_of(chain[j - 1]) : next, 0,
-                               child_begin, live.size(), true, false,
-                               parent_frame.rel_begin,
-                               parent_frame.rel_end});
-            }
-            // Resume at the deepest replayed frame; its jump scan finds the
-            // candidate immediately (cursor == next).
-            continue;
-          }
-        }
-      }
-    }
-
-    if (c >= top.end) {
-      for (size_t k = top.live_begin; k < top.live_end; ++k) {
-        engines[live[k]]->ExitNode(plane.node_at(top.pos));
-      }
-      live.resize(top.live_begin);
-      if (top.owns_rel) rel_arena.resize(top.rel_begin);
-      stack.pop_back();
-      continue;
-    }
-
-    // Decode the child and resolve its subtree label set once, for everyone.
-    const LabelId cl = plane.label(c);
-    const int32_t eff_c = index != nullptr
-                              ? index->EffectiveSet(plane.node_at(c),
-                                                    top.eff_set)
-                              : top.eff_set;
-    top.cursor = plane.end_of(c);
-
-    const size_t child_begin = live.size();
-    for (size_t k = top.live_begin; k < top.live_end; ++k) {
-      const uint32_t ei = live[k];
-      if (engines[ei]->DescendInto(cl, eff_c)) live.push_back(ei);
-    }
-    if (live.size() > child_begin) {
-      ++pass.nodes_walked;
-      stack.push_back({c, plane.end_of(c), c + 1, eff_c, child_begin,
-                       live.size(), false, false, 0, 0});
-      decide_jump(&stack.back());
-    } else {
-      ++pass.subtrees_skipped;  // every live engine pruned this subtree
-    }
-  }
-  return pass;
 }
 
 }  // namespace smoqe::hype

@@ -24,10 +24,12 @@
 //    the run statistics. The engine never walks the tree; it reacts to
 //    traversal events:
 //
-//       Start(context) /          resolve the context configuration
-//         PrepareRoot(context)
-//       DescendInto(label, set)   memoized plane transition + prologue;
-//                                 false = prune the subtree
+//       PrepareRoot(context)      reset the run, resolve the context
+//                                 configuration
+//       BeginFrames(config)       open the bottom frame (the engine was
+//                                 frameless above this node)
+//       DescendWith(succ)         push a child frame for a memoized plane
+//                                 transition (PeekTransition) + prologue
 //       ExitNode(n)               epilogue: same-node fixpoint, cans
 //                                 deletions, fold fstates↑ into the parent
 //       TakeAnswers()             phase two: collect answers from cans
@@ -37,39 +39,13 @@
 //    number as before the split, engines sharing a plane split the total
 //    between them, and a warm start reports zero.
 //
-//  * RunSharedPass — the traversal driver: ONE iterative, recursion-free
-//    (explicit-stack) depth-first walk that drives any number of engines in
-//    lockstep. The walk iterates a columnar xml::DocPlane (preorder arrays
-//    with subtree extents) instead of chasing first_child/next_sibling: a
-//    frame scans the contiguous position range of its subtree, descending
-//    into a child costs one cursor read, and skipping a pruned subtree is a
-//    single cursor addition (pos += extent + 1). Per position the driver
-//    decodes the label and resolves the subtree-label-index set once, then
-//    fans the result out to every engine still live there (per-node live
-//    lists in a stack arena, so the fan-out costs O(live), not O(batch)). A
-//    subtree is skipped only when EVERY live engine prunes it, so each
-//    engine observes exactly the nodes its solo pass would have visited —
-//    per-engine answers and statistics are identical to single-query
-//    evaluation by construction.
-//
-//    JUMP MODE. Without a subtree-label index, a frame whose live engines
-//    are ALL in a jump-safe state (simple configuration, no final selecting
-//    state, no open cans region) advances by posting list instead of by
-//    position: only labels in the merged RELEVANT set of the live
-//    configurations (RelevantLabels: labels whose memoized transition leaves
-//    the configuration) can change any engine's state, prune, or answer, so
-//    the driver lower_bounds the posting lists of those labels and leaps to
-//    the next candidate position inside the frame's extent. Skipped
-//    positions are TRANSPARENT — every engine self-loops through them
-//    without pruning or answering — so the full DFS would have entered each
-//    one and changed nothing but its visit counter; the driver restores
-//    those counters in bulk (AddVisited) and replays the enter/exit event
-//    stream only for the candidate's ancestors (reconstructed from the
-//    plane's parent/depth/extent arrays), pushing real frames so engine
-//    state, folds, and pops happen exactly as the full DFS would. Answers
-//    and per-engine statistics therefore stay bit-identical to the
-//    full-DFS/solo pass; the randomized jump-equivalence suite
-//    (tests/doc_plane_test.cc) enforces this.
+//  * The traversal driver lives in BatchHypeEvaluator (batch_hype.h): ONE
+//    iterative, explicit-stack depth-first walk over a columnar
+//    xml::DocPlane that drives any number of engines through a memoized
+//    joint transition table, with a posting-list jump mode for runs of
+//    transparent positions. It is the only driver: HypeEvaluator (hype.h)
+//    is a one-slot BatchHypeEvaluator, and the sharded, standing-query and
+//    service paths build on the same evaluator.
 //
 // The per-node work of the original Visit() is aggressively hoisted into
 // intern time: each Config precomputes its intra-node ε-edge pairs, operator
@@ -82,15 +58,6 @@
 // The explicit stack also removes the recursion of the original Visit(),
 // bounding stack use on documents of arbitrary depth (regression-tested at
 // depth 100k+).
-//
-// HypeEvaluator (hype.h) drives one engine through this driver.
-// BatchHypeEvaluator (batch_hype.h) drives N engines through its own
-// sharing driver built on the low-level hooks (PrepareRoot, PeekTransition,
-// DescendWith, BeginFrames): it interns the TUPLE of per-engine
-// configurations per node and memoizes joint transitions, so a batch of
-// queries advances with one table lookup per (joint state, label), and
-// engines in a "simple" state (no AFA requests pending, no cans region,
-// nothing annotated) ride the joint table with no per-node work at all.
 
 #ifndef SMOQE_HYPE_ENGINE_H_
 #define SMOQE_HYPE_ENGINE_H_
@@ -102,7 +69,6 @@
 #include <vector>
 
 #include "automata/mfa.h"
-#include "common/cancellation.h"
 #include "hype/cans.h"
 #include "hype/index.h"
 #include "hype/transition_plane.h"
@@ -150,30 +116,21 @@ struct HypeOptions {
   /// private plane (solo behavior, identical to the pre-split evaluator).
   std::shared_ptr<TransitionPlane> transition_plane = nullptr;
 
-  /// Allows the traversal driver to engage jump mode (see the design note
-  /// above). Off forces the full columnar DFS -- equivalence tests and the
+  /// Allows the traversal driver to engage jump mode (see batch_hype.h).
+  /// Off forces the full columnar DFS -- equivalence tests and the
   /// bench baseline use this; answers/statistics are identical either way.
   bool enable_jump = true;
 };
 
-/// Per-query evaluation state of Algorithm HyPE, driven by RunSharedPass or
-/// the batch sharing driver. One evaluation is Start() (or PrepareRoot +
-/// BeginFrames); the pass; TakeAnswers(). The transition plane persists
-/// across evaluations AND across engines (repeated or sharded Evals get warm
-/// transition tables).
+/// Per-query evaluation state of Algorithm HyPE, driven by the batch
+/// sharing driver (batch_hype.h). One evaluation is PrepareRoot (+
+/// BeginFrames where the engine needs frames); the pass; TakeAnswers(). The
+/// transition plane persists across evaluations AND across engines
+/// (repeated or sharded Evals get warm transition tables).
 class HypeEngine {
  public:
   HypeEngine(const xml::Tree& tree, const automata::Mfa& mfa,
              HypeOptions options = {});
-
-  /// Resets per-run state, resolves the context configuration, and opens the
-  /// context frame. Returns false when the configuration is dead (the pass
-  /// can skip this engine entirely; TakeAnswers still yields no answers).
-  bool Start(xml::NodeId context);
-
-  /// Memoized child transition + child prologue when the engine descends;
-  /// false = the subtree is pruned for this engine.
-  bool DescendInto(LabelId child_label, int32_t child_eff_set);
 
   /// Epilogue for the node the engine last entered: same-node operator
   /// fixpoint, cans deletions, answer reporting, fold into the parent frame.
@@ -182,21 +139,15 @@ class HypeEngine {
   /// Phase two: sorted ids of the answer nodes of the completed pass.
   std::vector<xml::NodeId> TakeAnswers();
 
-  /// Frame depth (context frame = 0); -1 when no frame is open.
-  int depth() const { return depth_; }
-
   const EvalStats& stats() const { return stats_; }
-  const SubtreeLabelIndex* index() const { return options_.index; }
-  const std::shared_ptr<TransitionPlane>& transition_plane() const {
-    return options_.transition_plane;
-  }
 
   // ---- low-level hooks for the batch sharing driver (batch_hype.cc) ----
 
   using SuccRef = hype::SuccRef;
 
-  /// Like Start, but does not open the context frame (the engine stays
-  /// frameless); returns the context configuration id, or -1 when dead.
+  /// Resets per-run state and resolves the context configuration without
+  /// opening a frame (the engine stays frameless); returns the context
+  /// configuration id, or -1 when dead.
   int32_t PrepareRoot(xml::NodeId context);
 
   /// The memoized transition out of `config` (no frame side effects; safe to
@@ -208,12 +159,12 @@ class HypeEngine {
   }
 
   /// Pushes a child frame for an already-computed successor and runs the
-  /// node prologue. Precondition: a frame is open (depth() >= 0).
+  /// node prologue. Precondition: a frame is open.
   void DescendWith(SuccRef succ);
 
   /// Opens the engine's bottom frame mid-pass at a node with configuration
   /// `config` (the engine was frameless above; nothing folds upward).
-  /// Precondition: depth() == -1.
+  /// Precondition: no frame is open.
   void BeginFrames(int32_t config);
 
   /// Records a direct answer for a frameless engine at `node`.
@@ -238,28 +189,13 @@ class HypeEngine {
   /// the configuration, prunes, or reaches final/annotated states). On
   /// every other label the transition is the identity self-loop, so a node
   /// carrying one is TRANSPARENT for this engine -- entering it changes
-  /// nothing observable but the visit counter. Jump-mode drivers skip runs
-  /// of transparent positions wholesale (see the design note). Derived once
+  /// nothing observable but the visit counter. The jump-mode driver skips
+  /// runs of transparent positions wholesale (see batch_hype.h). Derived once
   /// per config by probing the full transition row, then cached in the
   /// shared plane. Precondition: no index.
   std::span<const LabelId> RelevantLabels(int32_t config) {
     return trans_->RelevantLabels(config, &stats_.configs_interned);
   }
-
-  /// True when the driver may skip transparent positions while this engine
-  /// holds `config` at its open frame: simple (self-loop behavior is fully
-  /// config-determined), no final state (no answer at every visited node),
-  /// and outside any cans region (`in_region`, the caller's frame state --
-  /// a region inherited from an annotated ancestor keeps edge-mapping
-  /// composition live even through simple configurations).
-  bool ConfigJumpSafe(int32_t config, bool in_region) const {
-    return !in_region && ConfigSimple(config) && !ConfigHasFinal(config);
-  }
-
-  /// Region status of the engine's innermost open frame (RunSharedPass's
-  /// jump-safety probe). Precondition: depth() >= 0.
-  bool TopFrameInRegion() const { return frames_[depth_]->region; }
-  int32_t TopConfig() const { return frames_[depth_]->config; }
 
  private:
   using StateId = automata::StateId;
@@ -327,34 +263,6 @@ class HypeEngine {
   std::vector<uint64_t> answer_bits_;  // TakeAnswers bitmap-sort scratch
   std::unordered_map<uint64_t, int32_t> compose_memo_;  // see ComposeAuxCached
 };
-
-/// Statistics of one shared pass (driver-side, per walk not per engine).
-struct SharedPassStats {
-  int64_t nodes_walked = 0;     // element nodes the shared walk entered
-  int64_t subtrees_skipped = 0; // children pruned by every live engine
-  int64_t positions_jumped = 0; // transparent positions skipped by jump mode
-};
-
-/// Drives `engines` through one explicit-stack depth-first pass over the
-/// plane of `tree` from `context`. Every engine must have been Start()ed at
-/// the same context and returned true, and must have been built with the
-/// same `index` (or null); `plane` must mirror `tree`. Each engine's
-/// answers/statistics equal what its solo pass would produce, with or
-/// without `enable_jump` (jump engages only without an index, and only at
-/// frames where every live engine is jump-safe).
-///
-/// `gate` (optional) is polled once per walk step, so a cancellation or an
-/// expired deadline aborts the pass within one checkpoint interval of node
-/// entries; the walk returns early with `gate->tripped()` set and the
-/// engines' partial answers must be discarded (the next Start()/PrepareRoot
-/// resets all per-run state, so aborted engines are reusable as-is).
-SharedPassStats RunSharedPass(const xml::Tree& tree,
-                              const xml::DocPlane& plane,
-                              const SubtreeLabelIndex* index,
-                              xml::NodeId context,
-                              std::span<HypeEngine* const> engines,
-                              bool enable_jump = true,
-                              EvalGate* gate = nullptr);
 
 }  // namespace smoqe::hype
 

@@ -2,51 +2,22 @@
 
 namespace smoqe::hype {
 
-namespace {
-
-hype::HypeOptions WithPlane(HypeOptions options, const xml::DocPlane* plane) {
-  options.plane = plane;
-  return options;
-}
-
-}  // namespace
-
 HypeEvaluator::HypeEvaluator(const xml::Tree& tree, const automata::Mfa& mfa,
                              HypeOptions options)
-    : tree_(tree),
-      plane_owned_(options.plane == nullptr ? xml::DocPlane::Build(tree)
-                                            : xml::DocPlane{}),
-      plane_(options.plane == nullptr ? &plane_owned_ : options.plane),
-      enable_jump_(options.enable_jump),
-      engine_(tree, mfa, WithPlane(options, plane_)) {}
+    : batch_(tree, mfa, std::move(options)) {}
 
 std::vector<xml::NodeId> HypeEvaluator::Eval(xml::NodeId context) {
-  pass_stats_ = SharedPassStats{};
-  if (engine_.Start(context)) {
-    HypeEngine* engine = &engine_;
-    pass_stats_ = RunSharedPass(tree_, *plane_, engine_.index(), context,
-                                {&engine, 1}, enable_jump_);
-  }
-  return engine_.TakeAnswers();
+  return std::move(batch_.EvalAll(context)[0]);
 }
 
 StatusOr<std::vector<xml::NodeId>> HypeEvaluator::Eval(
     xml::NodeId context, const EvalControl& control) {
-  pass_stats_ = SharedPassStats{};
   EvalGate gate(&control);
-  if (!gate.Refresh()) return gate.status();  // already cancelled / expired
-  if (engine_.Start(context)) {
-    HypeEngine* engine = &engine_;
-    pass_stats_ = RunSharedPass(tree_, *plane_, engine_.index(), context,
-                                {&engine, 1}, enable_jump_, &gate);
-    if (gate.tripped()) {
-      // Drop the aborted run's partial state; the next Start() resets the
-      // engine, so callers may retry on the same evaluator.
-      (void)engine_.TakeAnswers();
-      return gate.status();
-    }
-  }
-  return engine_.TakeAnswers();
+  std::vector<std::vector<xml::NodeId>> answers =
+      batch_.EvalAll(context, &gate);
+  // An aborted pass leaves the evaluator reusable; its answers are dropped.
+  if (gate.tripped()) return gate.status();
+  return std::move(answers[0]);
 }
 
 }  // namespace smoqe::hype

@@ -24,12 +24,13 @@
 // below a child (OptHyPE / OptHyPE-C); transitions are then memoized per
 // (config, label, label-set).
 //
-// The per-run evaluation state and the traversal live in hype/engine.h
-// (HypeEngine + RunSharedPass, an explicit-stack walk that can drive many
-// engines at once); the query-derived state -- configuration store, memoized
-// transition tables -- lives in a shareable hype::TransitionPlane
-// (transition_plane.h). HypeEvaluator is the single-query front end. For
-// evaluating a batch of queries in one shared pass, see hype/batch_hype.h.
+// The per-run evaluation state lives in hype::HypeEngine (engine.h); the
+// query-derived state -- configuration store, memoized transition tables --
+// in a shareable hype::TransitionPlane (transition_plane.h); the traversal
+// in BatchHypeEvaluator (batch_hype.h), an explicit-stack walk over the
+// columnar document plane that drives any number of engines at once.
+// HypeEvaluator is the single-query front end: a one-slot
+// BatchHypeEvaluator, so solo and batched evaluation share one driver.
 
 #ifndef SMOQE_HYPE_HYPE_H_
 #define SMOQE_HYPE_HYPE_H_
@@ -37,9 +38,10 @@
 #include <vector>
 
 #include "automata/mfa.h"
+#include "common/cancellation.h"
+#include "common/status.h"
+#include "hype/batch_hype.h"
 #include "hype/engine.h"
-#include "hype/index.h"
-#include "xml/doc_plane.h"
 #include "xml/tree.h"
 
 namespace smoqe::hype {
@@ -61,18 +63,13 @@ class HypeEvaluator {
                                           const EvalControl& control);
 
   /// Statistics of the last Eval call.
-  const EvalStats& stats() const { return engine_.stats(); }
+  const EvalStats& stats() const { return batch_.stats(0); }
 
   /// Driver statistics of the last Eval call (jump-mode diagnostics).
-  const SharedPassStats& pass_stats() const { return pass_stats_; }
+  const SharedPassStats& pass_stats() const { return batch_.pass_stats(); }
 
  private:
-  const xml::Tree& tree_;
-  xml::DocPlane plane_owned_;        // empty when options.plane was provided
-  const xml::DocPlane* plane_;
-  bool enable_jump_;
-  HypeEngine engine_;
-  SharedPassStats pass_stats_;
+  BatchHypeEvaluator batch_;
 };
 
 }  // namespace smoqe::hype

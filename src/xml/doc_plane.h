@@ -34,13 +34,12 @@
 // with a label in set R inside this subtree" into a handful of
 // lower_bounds -- the structural-index idea OptHyPE applies to pruning,
 // extended to navigation.
-// The traversal drivers (hype::RunSharedPass and BatchHypeEvaluator's joint
-// driver) use exactly that query for their jump mode: when every live engine
-// is in a simple configuration, only positions whose label is in the merged
-// relevant set can change any engine's state, and the driver leaps from
-// candidate to candidate, reconstructing visit accounting for the skipped
-// transparent positions from the extents (see the jump-mode notes in
-// hype/engine.h and hype/batch_hype.h).
+// The HyPE traversal driver (hype::BatchHypeEvaluator's joint pass) uses
+// exactly that query for its jump mode: when every live engine is
+// frameless and final-free, only positions whose label is in the
+// merged relevant set can change any engine's state, and the driver leaps
+// from candidate to candidate, accounting the skipped transparent positions
+// to the joint state in bulk (see the jump-mode note in hype/batch_hype.h).
 //
 // Two ways to build one:
 //  * DocPlane::Build(tree): one explicit-stack DFS over a finished tree

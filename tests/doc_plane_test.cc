@@ -8,13 +8,13 @@
 //    Builder driven by view::Materialize emits exactly what DocPlane::Build
 //    computes after the fact.
 //  * Jump-driver equivalence: across label-sparse and label-dense generated
-//    documents and randomized query workloads, the jump-mode drivers
-//    (RunSharedPass via HypeEvaluator, and BatchHypeEvaluator's joint pass)
-//    must produce bit-identical answers AND per-engine traversal statistics
-//    to the full-DFS drivers and to solo no-jump HyPE, with the
-//    NaiveEvaluator as the answer oracle -- while actually engaging
-//    (positions_jumped > 0) on the sparse workloads, so a silent fallback
-//    to full DFS cannot pass.
+//    documents and randomized query workloads, the jump-mode driver
+//    (BatchHypeEvaluator's joint pass, batched and as the one-slot
+//    HypeEvaluator) must produce bit-identical answers AND per-engine
+//    traversal statistics to the full-DFS passes and to solo no-jump HyPE,
+//    with the NaiveEvaluator as the answer oracle -- while actually
+//    engaging (positions_jumped > 0) on the sparse workloads, so a silent
+//    fallback to full DFS cannot pass.
 
 #include <gtest/gtest.h>
 
@@ -429,9 +429,10 @@ TEST(JumpEquivalenceTest, IndexModesDisableJumpButStayEquivalent) {
 
 TEST(JumpEquivalenceTest, DeepChainReplayRegression) {
   // A 50k-deep transparent chain with one needle at the bottom: the jump
-  // driver must replay the whole ancestor chain without recursing and keep
-  // the counters exact. (No naive leg -- it is quadratic in depth -- so pin
-  // the expected answers by hand against the no-jump solo baseline.)
+  // driver must leap over (or, with filter engines framed, walk) the whole
+  // chain without recursing and keep the counters exact. (No naive leg --
+  // it is quadratic in depth -- so pin the expected answers by hand against
+  // the no-jump solo baseline.)
   constexpr int kDepth = 50000;
   Tree tree;
   NodeId n = tree.AddRoot("chain");
