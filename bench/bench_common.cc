@@ -84,7 +84,8 @@ const hype::SubtreeLabelIndex& IndexFor(const xml::Tree& tree,
   if (it == cache->end()) {
     it = cache
              ->emplace(key, std::make_unique<hype::SubtreeLabelIndex>(
-                                hype::SubtreeLabelIndex::Build(tree, mode)))
+                                hype::SubtreeLabelIndex::Build(
+                                    PlaneFor(tree), mode)))
              .first;
   }
   return *it->second;

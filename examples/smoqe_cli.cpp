@@ -23,6 +23,7 @@
 #include "rewrite/direct_rewriter.h"
 #include "rewrite/rewriter.h"
 #include "view/view_parser.h"
+#include "xml/doc_plane.h"
 #include "xml/parser.h"
 #include "xml/writer.h"
 #include "xpath/parser.h"
@@ -126,21 +127,23 @@ int main(int argc, char** argv) {
     answers = smoqe::eval::NaiveEvaluator(tree.value())
                   .Eval(query.value(), tree.value().root());
   } else {
+    // One plane serves both the index build and the evaluator.
+    const smoqe::xml::DocPlane plane =
+        smoqe::xml::DocPlane::Build(tree.value());
     smoqe::hype::SubtreeLabelIndex index;
     smoqe::hype::HypeOptions options;
-    bool built = false;
+    options.plane = &plane;
     if (engine == "opthype") {
       index = smoqe::hype::SubtreeLabelIndex::Build(
-          tree.value(), smoqe::hype::SubtreeLabelIndex::Mode::kFull);
-      built = true;
+          plane, smoqe::hype::SubtreeLabelIndex::Mode::kFull);
+      options.index = &index;
     } else if (engine == "opthype-c") {
       index = smoqe::hype::SubtreeLabelIndex::Build(
-          tree.value(), smoqe::hype::SubtreeLabelIndex::Mode::kCompressed);
-      built = true;
+          plane, smoqe::hype::SubtreeLabelIndex::Mode::kCompressed);
+      options.index = &index;
     } else if (engine != "hype") {
       return Usage(argv[0]);
     }
-    if (built) options.index = &index;
     smoqe::hype::HypeEvaluator eval(tree.value(), mfa, options);
     answers = eval.Eval(tree.value().root());
     stats = eval.stats();

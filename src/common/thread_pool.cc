@@ -55,9 +55,9 @@ void ThreadPool::Submit(std::function<void()> task) {
   {
     // Claim the slot BEFORE publishing the task: workers cannot observe the
     // drained exit condition (stop_ && pending_ == 0) between the push and
-    // the count, so a task accepted here always runs. A Submit that races
-    // the destructor is rejected instead (dropped; a SubmitWithResult
-    // future then reports broken_promise).
+    // the count, so a task accepted here always runs. A task submitting
+    // during the destructor's drain is rejected instead (dropped; a
+    // SubmitWithResult future then reports broken_promise).
     std::lock_guard<std::mutex> lock(wake_mu_);
     if (stop_) return;
     ++pending_;

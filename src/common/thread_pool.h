@@ -11,9 +11,11 @@
 // pool simple to reason about and clean under ThreadSanitizer.
 //
 // Shutdown semantics: the destructor stops accepting new work, DRAINS every
-// queued task, then joins. A task Submit accepted always runs; a Submit
-// racing (or following) the destructor is rejected -- the task is dropped
-// and a SubmitWithResult future reports broken_promise.
+// queued task, then joins. External Submit calls must happen-before the
+// destructor begins (the caller owns that ordering, as for any object's
+// lifetime); every task so accepted runs. Only a pool TASK submitting during
+// the drain is rejected -- the task is dropped and a SubmitWithResult future
+// reports broken_promise.
 //
 // Blocking caveat: a task must not block on the completion of other pool
 // tasks unless the pool is known to have idle workers (classic pool

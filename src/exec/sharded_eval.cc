@@ -81,10 +81,11 @@ void ShardedBatchEvaluator::BuildPlan(xml::NodeId context) {
   };
 
   const hype::SubtreeLabelIndex* index = options_.index;
+  const int32_t context_pos = plane.pos_of(context);
   plan_.spine.push_back(
-      {context, -1,
-       index != nullptr ? index->SetForContext(tree_, context) : 0});
-  push_child_units(plane.pos_of(context), 0, &plan_.units);
+      {context, context_pos, -1,
+       index != nullptr ? index->SetForContext(plane, context_pos) : 0});
+  push_child_units(context_pos, 0, &plan_.units);
 
   while (static_cast<int>(plan_.units.size()) < target) {
     int best = -1;
@@ -101,9 +102,9 @@ void ShardedBatchEvaluator::BuildPlan(xml::NodeId context) {
     Unit split = plan_.units[best];
     int spine_idx = static_cast<int>(plan_.spine.size());
     plan_.spine.push_back(
-        {split.root, split.spine,
+        {split.root, split.pos, split.spine,
          index != nullptr
-             ? index->EffectiveSet(split.root, plan_.spine[split.spine].eff)
+             ? index->EffectiveSet(split.pos, plan_.spine[split.spine].eff)
              : 0});
     std::vector<Unit> kids;
     push_child_units(split.pos, spine_idx, &kids);
@@ -141,7 +142,7 @@ void ShardedBatchEvaluator::BuildPlan(xml::NodeId context) {
 // truth would have to cross a unit boundary). Also collects the answers AT
 // spine nodes for shardable queries -- the one part of the document no unit
 // walk covers.
-void ShardedBatchEvaluator::ProbeQueries(xml::NodeId context) {
+void ShardedBatchEvaluator::ProbeQueries() {
   const size_t n = mfas_.size();
   sharded_queries_.clear();
   fallback_queries_.clear();
@@ -153,7 +154,7 @@ void ShardedBatchEvaluator::ProbeQueries(xml::NodeId context) {
   for (size_t q = 0; q < n; ++q) {
     hype::TransitionPlane& probe = *probes_[q];
     spine_cfg.assign(plan_.spine.size(), -1);
-    spine_cfg[0] = probe.ContextConfig(context, nullptr);
+    spine_cfg[0] = probe.ContextConfig(plan_.spine[0].eff, nullptr);
     if (spine_cfg[0] < 0) {
       ++stats_.num_dead_queries;
       continue;
@@ -166,7 +167,7 @@ void ShardedBatchEvaluator::ProbeQueries(xml::NodeId context) {
         int32_t parent_cfg = spine_cfg[plan_.spine[j].parent];
         if (parent_cfg < 0) continue;  // pruned above: subtree untouched
         hype::SuccRef succ =
-            probe.Transition(parent_cfg, tree_.label(plan_.spine[j].node),
+            probe.Transition(parent_cfg, plane_->label(plan_.spine[j].pos),
                              plan_.spine[j].eff, nullptr);
         if (probe.config(succ.config).dead) continue;
         spine_cfg[j] = succ.config;
@@ -262,7 +263,7 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
 
   if (plan_.context != context) {
     BuildPlan(context);
-    ProbeQueries(context);
+    ProbeQueries();
     workers_.clear();
     fallback_.reset();
   }

@@ -96,8 +96,10 @@ struct ShardedStats {
 
 class ShardedBatchEvaluator {
  public:
-  /// The MFAs must outlive the evaluator; so must `tree`, the index and the
-  /// pool.
+  /// The MFAs must outlive the evaluator; so must `tree`, the index, the
+  /// plane and the pool. The index is keyed by plane position, so it must
+  /// have been built from a plane of `tree` (every such plane, built or
+  /// maintained, addresses the same positions).
   ShardedBatchEvaluator(const xml::Tree& tree,
                         std::vector<const automata::Mfa*> mfas,
                         ShardedOptions options = {});
@@ -140,6 +142,7 @@ class ShardedBatchEvaluator {
   // interiors) and subtree units in document order, grouped contiguously.
   struct SpineNode {
     xml::NodeId node;
+    int32_t pos;  // plane position of `node`
     int parent;   // index into spine; -1 for the context
     int32_t eff;  // effective label set (0 without an index)
   };
@@ -157,7 +160,7 @@ class ShardedBatchEvaluator {
   };
 
   void BuildPlan(xml::NodeId context);
-  void ProbeQueries(xml::NodeId context);
+  void ProbeQueries();
   void EnsureWorkers();
   std::vector<std::vector<xml::NodeId>> EvalAllImpl(xml::NodeId context,
                                                     const EvalControl* control);

@@ -181,7 +181,7 @@ Status StandingQueryEvaluator::Advance(const xml::PlaneEpoch& next,
   for (uint32_t q = 0; q < mfas_.size(); ++q) {
     const std::shared_ptr<hype::TransitionPlane> probe =
         store_->For(mfas_[q]);
-    int32_t config = probe->ContextConfig(new_tree.root(), interned);
+    int32_t config = probe->ContextConfig(0, interned);  // no index
     bool dead = config < 0;
     bool simple_above = true;
     for (size_t j = 1; !dead && j < chain.size(); ++j) {

@@ -165,7 +165,7 @@ bool BatchHypeEvaluator::JumpPlanFor(int32_t state) {
   return st.jumpable;
 }
 
-void BatchHypeEvaluator::RunJointPass(xml::NodeId top, int32_t top_eff,
+void BatchHypeEvaluator::RunJointPass(int32_t top_pos, int32_t top_eff,
                                       int32_t root_state, EvalGate* gate) {
   const SubtreeLabelIndex* index = options_.index;
   const xml::DocPlane& plane = *plane_;
@@ -182,9 +182,8 @@ void BatchHypeEvaluator::RunJointPass(xml::NodeId top, int32_t top_eff,
     for (const Member& m : root.members) {
       if (m.framed) engines_[m.engine]->BeginFrames(m.config);
     }
-    enter(root, root_state, top);
+    enter(root, root_state, plane.node_at(top_pos));
   }
-  const int32_t top_pos = plane.pos_of(top);
   std::vector<WalkFrame>& stack = walk_stack_;
   stack.clear();
   stack.push_back({top_pos, plane.end_of(top_pos), top_pos + 1, top_eff,
@@ -241,7 +240,7 @@ void BatchHypeEvaluator::RunJointPass(xml::NodeId top, int32_t top_eff,
     // whole batch with one packed joint-table entry.
     const LabelId cl = plane.label(c);
     const int32_t eff_c =
-        index != nullptr ? index->EffectiveSet(plane.node_at(c), frame.eff_set)
+        index != nullptr ? index->EffectiveSet(c, frame.eff_set)
                          : frame.eff_set;
     const int32_t cend = plane.end_of(c);
     frame.cursor = cend;
@@ -286,35 +285,40 @@ std::vector<std::vector<xml::NodeId>> BatchHypeEvaluator::EvalSubtree(
     return std::vector<std::vector<xml::NodeId>>(engines_.size());
   }
   const SubtreeLabelIndex* index = options_.index;
+  const xml::DocPlane& plane = *plane_;
+  const int32_t context_pos = plane.pos_of(context);
+  const int32_t top_pos = plane.pos_of(top);
 
-  // The context→top spine, top-down (empty when top == context), with the
-  // effective subtree-label set at each node (and at top).
-  std::vector<xml::NodeId> path;
-  for (xml::NodeId n = top; n != context; n = tree_.parent(n)) {
-    if (n == xml::kNullNode) {
+  // The context→top spine positions, top-down (empty when top == context),
+  // with the effective subtree-label set at each position (and at top).
+  std::vector<int32_t> path;
+  for (int32_t p = top_pos; p != context_pos; p = plane.parent(p)) {
+    if (p < 0) {
       // `top` is not in the subtree of `context`: a caller bug, but keep it
       // diagnosable rather than undefined (empty answers, loud in debug).
       assert(false && "EvalSubtree: top must be a descendant of context");
       return std::vector<std::vector<xml::NodeId>>(engines_.size());
     }
-    path.push_back(n);
+    path.push_back(p);
   }
   std::reverse(path.begin(), path.end());
-  int32_t eff = index != nullptr ? index->SetForContext(tree_, context) : 0;
+  const int32_t context_set =
+      index != nullptr ? index->SetForContext(plane, context_pos) : 0;
+  int32_t eff = context_set;
   std::vector<int32_t> path_effs;
   path_effs.reserve(path.size());
-  for (xml::NodeId n : path) {
-    if (index != nullptr) eff = index->EffectiveSet(n, eff);
+  for (int32_t p : path) {
+    if (index != nullptr) eff = index->EffectiveSet(p, eff);
     path_effs.push_back(eff);
   }
 
   std::vector<Member> root_members;
   for (size_t i = 0; i < engines_.size(); ++i) {
     HypeEngine& engine = *engines_[i];
-    int32_t config = engine.PrepareRoot(context);
+    int32_t config = engine.PrepareRoot(context_set);
     for (size_t k = 0; k < path.size() && config >= 0; ++k) {
       SuccRef succ =
-          engine.PeekTransition(config, tree_.label(path[k]), path_effs[k]);
+          engine.PeekTransition(config, plane.label(path[k]), path_effs[k]);
       config = engine.ConfigDead(succ.config) ? -1 : succ.config;
     }
     if (config < 0) continue;  // dead at or above top: no answers here
@@ -322,7 +326,7 @@ std::vector<std::vector<xml::NodeId>> BatchHypeEvaluator::EvalSubtree(
         {static_cast<uint32_t>(i), config, !engine.ConfigSimple(config)});
   }
   if (!root_members.empty()) {
-    RunJointPass(top, eff, InternState(std::move(root_members)), gate);
+    RunJointPass(top_pos, eff, InternState(std::move(root_members)), gate);
   }
   if (gate != nullptr && gate->tripped()) {
     // Aborted mid-pass: reset the per-pass counters on every touched joint

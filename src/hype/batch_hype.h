@@ -238,7 +238,7 @@ class BatchHypeEvaluator {
                   int32_t eff_set);
   int64_t ComputeEdge(int32_t state, LabelId label, int32_t eff_set);
   bool JumpPlanFor(int32_t state);
-  void RunJointPass(xml::NodeId top, int32_t top_eff, int32_t root_state,
+  void RunJointPass(int32_t top_pos, int32_t top_eff, int32_t root_state,
                     EvalGate* gate);
 
   const xml::Tree& tree_;

@@ -33,7 +33,7 @@ HypeEngine::Frame& HypeEngine::GrowFrames(int depth) {
   return *frames_[depth];
 }
 
-int32_t HypeEngine::PrepareRoot(xml::NodeId context) {
+int32_t HypeEngine::PrepareRoot(int32_t context_set) {
   stats_.elements_visited = 0;
   stats_.cans_vertices = 0;
   stats_.cans_edges = 0;
@@ -41,7 +41,7 @@ int32_t HypeEngine::PrepareRoot(xml::NodeId context) {
   direct_answers_.clear();
   cans_.Reset();
   depth_ = -1;
-  return trans_->ContextConfig(context, &stats_.configs_interned);
+  return trans_->ContextConfig(context_set, &stats_.configs_interned);
 }
 
 void HypeEngine::BeginFrames(int32_t config) {

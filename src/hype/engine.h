@@ -24,8 +24,9 @@
 //    the run statistics. The engine never walks the tree; it reacts to
 //    traversal events:
 //
-//       PrepareRoot(context)      reset the run, resolve the context
-//                                 configuration
+//       PrepareRoot(context_set)  reset the run, resolve the context
+//                                 configuration from the context's
+//                                 subtree label set
 //       BeginFrames(config)       open the bottom frame (the engine was
 //                                 frameless above this node)
 //       DescendWith(succ)         push a child frame for a memoized plane
@@ -147,8 +148,10 @@ class HypeEngine {
 
   /// Resets per-run state and resolves the context configuration without
   /// opening a frame (the engine stays frameless); returns the context
-  /// configuration id, or -1 when dead.
-  int32_t PrepareRoot(xml::NodeId context);
+  /// configuration id, or -1 when dead. `context_set` is the context's
+  /// subtree label set (SubtreeLabelIndex::SetForContext; 0 without an
+  /// index) -- the only part of the context node the configuration reads.
+  int32_t PrepareRoot(int32_t context_set);
 
   /// The memoized transition out of `config` (no frame side effects; safe to
   /// call for frameless engines). Plane insertions are attributed to this

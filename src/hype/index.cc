@@ -1,8 +1,6 @@
 #include "hype/index.h"
 
-#include <cassert>
-#include <mutex>
-#include <string>
+#include <algorithm>
 
 namespace smoqe::hype {
 
@@ -21,107 +19,61 @@ struct SetHasher {
 
 }  // namespace
 
-SubtreeLabelIndex SubtreeLabelIndex::Build(const xml::Tree& tree, Mode mode,
-                                           int threshold) {
+SubtreeLabelIndex SubtreeLabelIndex::Build(const xml::DocPlane& plane,
+                                           Mode mode, int threshold) {
   SubtreeLabelIndex index;
   index.mode_ = mode;
-  index.num_labels_ = tree.labels().size();
-  index.words_ = (index.num_labels_ + 63) / 64;
-  if (index.words_ == 0) index.words_ = 1;
+  const int32_t n = plane.size();
+  for (int32_t pos = 0; pos < n; ++pos) {
+    index.num_labels_ = std::max(index.num_labels_, plane.label(pos) + 1);
+  }
+  index.words_ = std::max(1, (index.num_labels_ + 63) / 64);
   const int words = index.words_;
 
-  // Bottom-up: parents precede children in node-id order, so a reverse scan
-  // sees every child before its parent.
-  std::vector<std::vector<uint64_t>> sets(
-      tree.size(), std::vector<uint64_t>(words, 0));
-  std::vector<int32_t> elem_count(tree.size(), 0);
-  for (xml::NodeId id = tree.size() - 1; id >= 0; --id) {
-    if (!tree.is_element(id)) continue;
-    xml::NodeId p = tree.parent(id);
-    if (p != xml::kNullNode) {
-      LabelId l = tree.label(id);
-      sets[p][l / 64] |= uint64_t{1} << (l % 64);
-      for (int w = 0; w < words; ++w) sets[p][w] |= sets[id][w];
-      elem_count[p] += elem_count[id] + 1;
-    }
+  // Bottom-up: parents precede children in preorder, so a reverse scan sees
+  // every child before its parent.
+  std::vector<uint64_t> sets(static_cast<size_t>(n) * words, 0);
+  for (int32_t pos = n - 1; pos > 0; --pos) {
+    uint64_t* parent = &sets[static_cast<size_t>(plane.parent(pos)) * words];
+    const uint64_t* own = &sets[static_cast<size_t>(pos) * words];
+    const LabelId l = plane.label(pos);
+    parent[l / 64] |= uint64_t{1} << (l % 64);
+    for (int w = 0; w < words; ++w) parent[w] |= own[w];
   }
 
   std::unordered_map<std::vector<uint64_t>, int32_t, SetHasher> interned;
-  auto intern = [&](const std::vector<uint64_t>& s) {
+  auto intern = [&](int32_t pos) {
+    const auto first = sets.begin() + static_cast<ptrdiff_t>(pos) * words;
+    std::vector<uint64_t> s(first, first + words);
     auto it = interned.find(s);
     if (it != interned.end()) return it->second;
     int32_t id = static_cast<int32_t>(interned.size());
-    interned.emplace(s, id);
     index.set_pool_.insert(index.set_pool_.end(), s.begin(), s.end());
+    interned.emplace(std::move(s), id);
     return id;
   };
 
   if (mode == Mode::kFull) {
-    index.per_node_.resize(tree.size(), 0);
-    for (xml::NodeId id = 0; id < tree.size(); ++id) {
-      if (tree.is_element(id)) index.per_node_[id] = intern(sets[id]);
-    }
+    index.per_pos_.resize(n);
+    for (int32_t pos = 0; pos < n; ++pos) index.per_pos_[pos] = intern(pos);
   } else {
-    index.has_entry_.assign((tree.size() + 63) / 64, 0);
-    for (xml::NodeId id = 0; id < tree.size(); ++id) {
-      if (!tree.is_element(id)) continue;
-      if (id == tree.root() || elem_count[id] >= threshold) {
-        index.sparse_.emplace(id, intern(sets[id]));
-        index.has_entry_[id / 64] |= uint64_t{1} << (id % 64);
+    index.has_entry_.assign((n + 63) / 64, 0);
+    for (int32_t pos = 0; pos < n; ++pos) {
+      if (pos == 0 || plane.extent(pos) >= threshold) {
+        index.sparse_.emplace(pos, intern(pos));
+        index.has_entry_[pos / 64] |= uint64_t{1} << (pos % 64);
       }
     }
-    index.context_memo_ = std::make_shared<ContextMemo>();
   }
   return index;
 }
 
-int32_t SubtreeLabelIndex::SetForContext(const xml::Tree& tree,
-                                         xml::NodeId context) const {
-  if (mode_ == Mode::kFull) return per_node_[context];
-  {
-    // Hit path: shared lock only -- every shard worker and the probe pass
-    // read this memo concurrently, and after warmup nobody writes. The
-    // value is copied out under the lock; holding a reference into the map
-    // across the release would race a concurrent inserter's rehash.
-    std::shared_lock<std::shared_mutex> lock(context_memo_->mu);
-    auto it = context_memo_->sets.find(context);
-    if (it != context_memo_->sets.end()) return it->second;
-  }
-  // Miss: take the write lock FIRST, re-check, and do the ancestor walk
-  // while holding it. Racing misses on the same context (every shard of a
-  // batch resolves the same context at once) then dedupe to one O(depth)
-  // walk instead of N, and nobody ever upgrades a lock mid-lookup. The
-  // walked suffix shares one nearest-indexed-ancestor, so memoizing the
-  // whole path makes later contexts on it O(1).
-  std::unique_lock<std::shared_mutex> lock(context_memo_->mu);
-  auto it = context_memo_->sets.find(context);
-  if (it != context_memo_->sets.end()) return it->second;
-  int32_t result = 0;
-  bool found = false;
-  xml::NodeId stop = xml::kNullNode;  // first node with an entry
-  for (xml::NodeId n = context; n != xml::kNullNode; n = tree.parent(n)) {
-    auto sp = sparse_.find(n);
-    if (sp != sparse_.end()) {
-      result = sp->second;
-      found = true;
-      stop = n;
-      break;
-    }
-  }
-  assert(found && "root must be indexed");
-  (void)found;
-  for (xml::NodeId n = context; n != stop; n = tree.parent(n)) {
-    context_memo_->sets.emplace(n, result);
-  }
-  return result;
-}
-
 size_t SubtreeLabelIndex::MemoryBytes() const {
   size_t bytes = set_pool_.size() * sizeof(uint64_t);
-  bytes += per_node_.size() * sizeof(int32_t);
+  bytes += per_pos_.size() * sizeof(int32_t);
   bytes += has_entry_.size() * sizeof(uint64_t);
   // unordered_map overhead approximated as key+value+pointer per entry.
-  bytes += sparse_.size() * (sizeof(xml::NodeId) + sizeof(int32_t) + sizeof(void*));
+  bytes += sparse_.size() * (sizeof(int32_t) + sizeof(int32_t) + sizeof(void*));
   return bytes;
 }
 

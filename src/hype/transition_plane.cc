@@ -527,7 +527,7 @@ SuccRef TransitionPlane::Transition(int32_t config,
   return TransitionLocked(config, tree_label, eff_set, interned);
 }
 
-int32_t TransitionPlane::ContextConfigLocked(xml::NodeId context) {
+int32_t TransitionPlane::ContextConfigLocked(int32_t context_set) {
   const CompiledMfa& cm = *compiled_;
   // ε-closure of the start state; the start state itself is the only
   // unconditional entry point.
@@ -554,8 +554,7 @@ int32_t TransitionPlane::ContextConfigLocked(xml::NodeId context) {
   std::sort(tmp_f_.begin(), tmp_f_.end());
 
   if (index_ != nullptr) {
-    int32_t eff = index_->SetForContext(tree_, context);
-    const Productive& prod = ProductiveForLocked(eff);
+    const Productive& prod = ProductiveForLocked(context_set);
     size_t w = 0;
     for (size_t i = 0; i < tmp_m_.size(); ++i) {
       if (prod.sel[tmp_m_[i]]) {
@@ -574,22 +573,22 @@ int32_t TransitionPlane::ContextConfigLocked(xml::NodeId context) {
   return configs_[root_config].dead ? -1 : root_config;
 }
 
-int32_t TransitionPlane::ContextConfig(xml::NodeId context,
+int32_t TransitionPlane::ContextConfig(int32_t context_set,
                                        int64_t* interned) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = root_config_cache_.find(context);
+    auto it = root_config_cache_.find(context_set);
     if (it != root_config_cache_.end()) return it->second;
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = root_config_cache_.find(context);
+  auto it = root_config_cache_.find(context_set);
   if (it != root_config_cache_.end()) return it->second;
   int64_t before = total_interned_.load(std::memory_order_relaxed);
-  int32_t result = ContextConfigLocked(context);
+  int32_t result = ContextConfigLocked(context_set);
   if (interned != nullptr) {
     *interned += total_interned_.load(std::memory_order_relaxed) - before;
   }
-  root_config_cache_.emplace(context, result);
+  root_config_cache_.emplace(context_set, result);
   return result;
 }
 

@@ -35,8 +35,8 @@
 //    exclusive), recompute, then publish with a release store -- the same
 //    snapshot-publish discipline the columnar DocPlane uses for documents;
 //  * genuinely cold read-mostly side tables (the aux-composition memo, the
-//    per-context root-configuration memo) take a shared lock on the hit
-//    path.
+//    root-configuration memo keyed by the context's subtree label set) take
+//    a shared lock on the hit path.
 //
 // Interning is attributed to whichever engine's call inserted the state:
 // EvalStats::configs_interned now counts plane insertions attributed to the
@@ -242,9 +242,11 @@ class TransitionPlane {
   SuccRef Transition(int32_t config, LabelId tree_label, int32_t eff_set,
                      int64_t* interned);
 
-  /// The context configuration at `context` (memoized per context node), or
-  /// -1 when dead.
-  int32_t ContextConfig(xml::NodeId context, int64_t* interned);
+  /// The context configuration for a context whose subtree label set is
+  /// `context_set` (SubtreeLabelIndex::SetForContext; 0 without an index),
+  /// or -1 when dead. Memoized per set id: the context node enters only
+  /// through its label set, so all contexts sharing a set share the entry.
+  int32_t ContextConfig(int32_t context_set, int64_t* interned);
 
   /// Composition of two aux edge mappings (i,j)x(j,k) -> (i,k), memoized;
   /// -1 when the composition is empty. Shared-locked on the hit path.
@@ -299,7 +301,7 @@ class TransitionPlane {
                            int64_t* interned);
   SuccRef ComputeTransitionLocked(int32_t config, LabelId tree_label,
                                   int32_t eff_set);
-  int32_t ContextConfigLocked(xml::NodeId context);
+  int32_t ContextConfigLocked(int32_t context_set);
   int32_t InternConfigLocked();  // interns the tmp_* scratch triple
   int32_t InternAuxLocked(int32_t from, LabelId tree_label, int32_t to);
   int32_t InternAuxContentLocked(TransAux aux);
@@ -330,7 +332,7 @@ class TransitionPlane {
   std::unordered_map<uint64_t, std::vector<int32_t>> config_buckets_;
   std::unordered_map<uint64_t, std::vector<int32_t>> aux_buckets_;
   std::unordered_map<uint64_t, int32_t> compose_memo_;
-  std::unordered_map<xml::NodeId, int32_t> root_config_cache_;
+  std::unordered_map<int32_t, int32_t> root_config_cache_;  // by set id
   std::unordered_map<int32_t, Productive> productive_cache_;
   std::atomic<int64_t> total_interned_{0};
 

@@ -48,14 +48,15 @@
 //    already produce the document depth-first. view::Materialize drives it
 //    so a materialized view carries its plane with no second pass.
 //
-// The plane borrows the tree it mirrors (like SubtreeLabelIndex); it is
-// immutable after construction and safe to share read-only across threads.
-// It does not observe later tree mutations. When the tree DOES mutate,
-// DocPlane::Maintainer derives the next plane from the previous one by
-// splicing the columnar arrays (memmove-style, no pointer-chasing DFS):
-// each bounded-region edit patches extents along the ancestor chain, shifts
-// the per-label posting lists, and re-derives only the suffix of the
-// NodeId<->position map that actually moved. xml::EpochPublisher
+// The plane keeps no reference to the tree it mirrors; it is immutable after
+// construction and safe to share read-only across threads. The OptHyPE
+// subtree-label index (hype::SubtreeLabelIndex) is derived from a plane and
+// keyed by its positions. The plane does not observe later tree mutations.
+// When the tree DOES mutate, DocPlane::Maintainer derives the next plane
+// from the previous one by splicing the columnar arrays (memmove-style, no
+// pointer-chasing DFS): each bounded-region edit patches extents along the
+// ancestor chain, shifts the per-label posting lists, and re-derives only
+// the suffix of the NodeId<->position map that actually moved. xml::EpochPublisher
 // (plane_epoch.h) wraps that into copy-on-write snapshots.
 
 #ifndef SMOQE_XML_DOC_PLANE_H_

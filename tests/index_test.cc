@@ -15,6 +15,7 @@
 #include "gen/hospital_generator.h"
 #include "hype/hype.h"
 #include "hype/index.h"
+#include "xml/doc_plane.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
 
@@ -31,7 +32,8 @@ TEST(IndexTest, BuildFullMode) {
   xml::Tree t = Doc("<r><a><b/></a><c/></r>");
   SubtreeLabelIndex idx =
       SubtreeLabelIndex::Build(t, SubtreeLabelIndex::Mode::kFull);
-  int32_t root_set = idx.SetForContext(t, t.root());
+  xml::DocPlane plane = xml::DocPlane::Build(t);
+  int32_t root_set = idx.SetForContext(plane, plane.pos_of(t.root()));
   LabelId a = t.labels().Lookup("a");
   LabelId b = t.labels().Lookup("b");
   LabelId r = t.labels().Lookup("r");
@@ -41,12 +43,12 @@ TEST(IndexTest, BuildFullMode) {
 
   // The 'a' subtree contains only b below it.
   xml::NodeId node_a = t.first_child(t.root());
-  int32_t a_set = idx.EffectiveSet(node_a, root_set);
+  int32_t a_set = idx.EffectiveSet(plane.pos_of(node_a), root_set);
   EXPECT_TRUE(idx.Contains(a_set, b));
   EXPECT_FALSE(idx.Contains(a_set, a));
   // Leaf subtrees have empty sets.
   xml::NodeId node_b = t.first_child(node_a);
-  EXPECT_TRUE(idx.IsEmpty(idx.EffectiveSet(node_b, a_set)));
+  EXPECT_TRUE(idx.IsEmpty(idx.EffectiveSet(plane.pos_of(node_b), a_set)));
 }
 
 TEST(IndexTest, CompressedModeInheritsFromAncestors) {
@@ -62,8 +64,10 @@ TEST(IndexTest, CompressedModeInheritsFromAncestors) {
   EXPECT_LT(compressed.MemoryBytes(), full.MemoryBytes() / 2);
 
   // Compressed sets over-approximate full sets (soundness).
-  int32_t full_eff = full.SetForContext(t, t.root());
-  int32_t comp_eff = compressed.SetForContext(t, t.root());
+  xml::DocPlane plane = xml::DocPlane::Build(t);
+  const int32_t root_pos = plane.pos_of(t.root());
+  int32_t full_eff = full.SetForContext(plane, root_pos);
+  int32_t comp_eff = compressed.SetForContext(plane, root_pos);
   std::vector<std::pair<xml::NodeId, std::pair<int32_t, int32_t>>> stack = {
       {t.root(), {full_eff, comp_eff}}};
   while (!stack.empty()) {
@@ -79,8 +83,10 @@ TEST(IndexTest, CompressedModeInheritsFromAncestors) {
     for (xml::NodeId c = t.first_child(node); c != xml::kNullNode;
          c = t.next_sibling(c)) {
       if (!t.is_element(c)) continue;
-      stack.push_back(
-          {c, {full.EffectiveSet(c, feff), compressed.EffectiveSet(c, ceff)}});
+      const int32_t pos = plane.pos_of(c);
+      stack.push_back({c,
+                       {full.EffectiveSet(pos, feff),
+                        compressed.EffectiveSet(pos, ceff)}});
     }
   }
 }
@@ -201,13 +207,12 @@ TEST(IndexTest, EvalFromMidTreeContext) {
   }
 }
 
-// Compressed-mode SetForContext memoizes lazily behind a shared_mutex;
-// shard workers resolve the same contexts concurrently. Hammer one index
-// from many threads over shuffled contexts and compare every result
-// against a sequentially-warmed twin. Under TSan (the `concurrency` CI
-// job) this also catches the rehash race the hit path used to have --
-// returning a reference into the map across the shared-lock release while
-// a racing miss inserted.
+// Compressed-mode SetForContext is a pure read: a bounded walk up the plane
+// over arrays fixed at Build, with no lazily grown state. Shard workers
+// resolve the same contexts concurrently, so hammer one index from many
+// threads over shuffled contexts and compare every result against a
+// sequentially queried twin. Under TSan (the `concurrency` CI job) any
+// write on the lookup path would show up as a race.
 TEST(IndexTest, ConcurrentSetForContextMatchesSequential) {
   gen::HospitalParams params;
   params.patients = 40;
@@ -216,9 +221,12 @@ TEST(IndexTest, ConcurrentSetForContextMatchesSequential) {
 
   SubtreeLabelIndex oracle = SubtreeLabelIndex::Build(
       t, SubtreeLabelIndex::Mode::kCompressed, /*threshold=*/16);
+  xml::DocPlane plane = xml::DocPlane::Build(t);
   std::vector<int32_t> expected(t.size(), -1);
   for (xml::NodeId id = 0; id < t.size(); ++id) {
-    if (t.is_element(id)) expected[id] = oracle.SetForContext(t, id);
+    if (t.is_element(id)) {
+      expected[id] = oracle.SetForContext(plane, plane.pos_of(id));
+    }
   }
 
   SubtreeLabelIndex shared = SubtreeLabelIndex::Build(
@@ -234,13 +242,13 @@ TEST(IndexTest, ConcurrentSetForContextMatchesSequential) {
   for (int w = 0; w < kThreads; ++w) {
     workers.emplace_back([&, w] {
       // Per-thread shuffle: every thread resolves every context, in a
-      // different order, so cold misses collide on the same nodes.
+      // different order, so lookups of the same positions interleave.
       std::vector<xml::NodeId> mine = contexts;
       std::mt19937_64 rng(1000 + w);
       std::shuffle(mine.begin(), mine.end(), rng);
       for (int round = 0; round < 3; ++round) {
         for (xml::NodeId id : mine) {
-          if (shared.SetForContext(t, id) != expected[id]) {
+          if (shared.SetForContext(plane, plane.pos_of(id)) != expected[id]) {
             mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }

@@ -13,16 +13,28 @@
 //    text bits, NodeId maps, postings) to a from-scratch DocPlane::Build of
 //    the edited tree. This is the property the epoch publisher and the
 //    mutation bench stand on.
+//  * Evaluation on edited trees: after edits NodeIds are out of preorder
+//    and the arena holds detached slots. The position-keyed subtree-label
+//    index derived from a maintained plane matches one derived from a
+//    rebuilt plane, and HyPE, OptHyPE and OptHyPE-C agree with the naive
+//    evaluator there.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "automata/compiler.h"
+#include "eval/naive_evaluator.h"
+#include "gen/query_generator.h"
+#include "hype/hype.h"
+#include "hype/index.h"
 #include "xml/doc_plane.h"
 #include "xml/tree.h"
 #include "xml/tree_delta.h"
+#include "xpath/printer.h"
 
 namespace smoqe::xml {
 namespace {
@@ -319,6 +331,125 @@ TEST(TreeDeltaTest, MaintainerMatchesBuildOnDeepSpine) {
   plane = undo.Take(tree);
   ASSERT_TRUE(plane.SameAs(DocPlane::Build(tree)));
   EXPECT_EQ(plane.size(), kDepth);
+}
+
+// Applies `num_deltas` random deltas to `tree`, carrying `plane` along
+// through DocPlane::Maintainer.
+void EditWithMaintainer(Tree* tree, DocPlane* plane, int num_deltas,
+                        std::mt19937_64& rng) {
+  uint64_t version = 0;
+  for (int step = 0; step < num_deltas; ++step) {
+    TreeDelta delta = RandomDelta(*tree, version, 1 + step % 3, rng);
+    DocPlane::Maintainer maintainer(*plane);
+    ASSERT_TRUE(delta.ApplyTo(tree, &maintainer).ok()) << "step " << step;
+    *plane = maintainer.Take(*tree);
+    version = delta.to_version();
+  }
+}
+
+// Per label id: does it occur strictly below `node`?
+std::vector<char> LabelsBelow(const Tree& tree, NodeId node) {
+  std::vector<char> below(tree.labels().size(), 0);
+  std::vector<NodeId> stack;
+  for (NodeId c = tree.first_child(node); c != kNullNode;
+       c = tree.next_sibling(c)) {
+    stack.push_back(c);
+  }
+  while (!stack.empty()) {
+    NodeId n = stack.back();
+    stack.pop_back();
+    if (!tree.is_element(n)) continue;
+    below[tree.label(n)] = 1;
+    for (NodeId c = tree.first_child(n); c != kNullNode;
+         c = tree.next_sibling(c)) {
+      stack.push_back(c);
+    }
+  }
+  return below;
+}
+
+TEST(TreeDeltaTest, SubtreeLabelIndexFollowsMaintainedPlane) {
+  using hype::SubtreeLabelIndex;
+  std::mt19937_64 rng(41);
+  for (int round = 0; round < 6; ++round) {
+    Tree tree = RandomTree(80, 700 + round);
+    DocPlane plane = DocPlane::Build(tree);
+    for (int edit = 0; edit < 4; ++edit) {
+      EditWithMaintainer(&tree, &plane, 2, rng);
+      const DocPlane fresh = DocPlane::Build(tree);
+      for (SubtreeLabelIndex::Mode mode : {SubtreeLabelIndex::Mode::kFull,
+                                           SubtreeLabelIndex::Mode::kCompressed}) {
+        const SubtreeLabelIndex patched =
+            SubtreeLabelIndex::Build(plane, mode, /*threshold=*/4);
+        const SubtreeLabelIndex rebuilt =
+            SubtreeLabelIndex::Build(fresh, mode, /*threshold=*/4);
+        for (int32_t pos = 0; pos < plane.size(); ++pos) {
+          const int32_t got = patched.SetForContext(plane, pos);
+          const int32_t want = rebuilt.SetForContext(fresh, pos);
+          const std::vector<char> below = LabelsBelow(tree, plane.node_at(pos));
+          for (LabelId l = 0; l < tree.labels().size(); ++l) {
+            ASSERT_EQ(patched.Contains(got, l), rebuilt.Contains(want, l))
+                << "round " << round << " edit " << edit << " pos " << pos
+                << " label " << tree.labels().name(l);
+            // Full sets are exact; compressed ones may only over-approximate.
+            if (mode == SubtreeLabelIndex::Mode::kFull) {
+              ASSERT_EQ(patched.Contains(got, l), below[l] != 0);
+            } else if (below[l]) {
+              ASSERT_TRUE(patched.Contains(got, l));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TreeDeltaTest, HypeVariantsMatchNaiveOnEditedTrees) {
+  using hype::SubtreeLabelIndex;
+  gen::QueryGenParams qparams;
+  qparams.labels = {"a", "b", "c", "d", "e", "z"};
+  qparams.text_values = {"alpha", "beta", "gamma"};
+  std::mt19937_64 rng(57);
+  for (int round = 0; round < 5; ++round) {
+    Tree tree = RandomTree(60, 900 + round);
+    DocPlane plane = DocPlane::Build(tree);
+    EditWithMaintainer(&tree, &plane, 3, rng);
+    const SubtreeLabelIndex full =
+        SubtreeLabelIndex::Build(plane, SubtreeLabelIndex::Mode::kFull);
+    const SubtreeLabelIndex compressed = SubtreeLabelIndex::Build(
+        plane, SubtreeLabelIndex::Mode::kCompressed, /*threshold=*/4);
+
+    std::vector<NodeId> contexts = {tree.root()};
+    const std::vector<NodeId> elements = ReachableElements(tree);
+    for (int i = 0; i < 4; ++i) {
+      contexts.push_back(elements[rng() % elements.size()]);
+    }
+    eval::NaiveEvaluator naive(tree);
+    for (int q = 0; q < 12; ++q) {
+      xpath::PathPtr query = gen::RandomQuery(qparams, &rng);
+      automata::Mfa mfa = automata::CompileQuery(query);
+      for (const SubtreeLabelIndex* index :
+           {static_cast<const SubtreeLabelIndex*>(nullptr), &full,
+            &compressed}) {
+        hype::HypeOptions options;
+        options.index = index;
+        options.plane = &plane;
+        hype::HypeEvaluator hype_eval(tree, mfa, options);
+        for (NodeId context : contexts) {
+          eval::NodeSet want = naive.Eval(query, context);
+          std::vector<NodeId> got = hype_eval.Eval(context);
+          std::sort(want.begin(), want.end());
+          std::sort(got.begin(), got.end());
+          EXPECT_EQ(got, want)
+              << (index == nullptr ? "HyPE"
+                  : index == &full ? "OptHyPE"
+                                   : "OptHyPE-C")
+              << " disagrees with naive on " << xpath::ToString(query)
+              << " at context " << context << ", round " << round;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
