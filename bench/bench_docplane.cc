@@ -248,14 +248,15 @@ struct WorkloadResult {
   // TransitionPlane interning (PR 5): the batch evaluator here runs with
   // per-engine private planes (the PR 4 shape, one interning universe per
   // engine), the sharded evaluator with one shared plane per query across
-  // all its shards/probes/fallback. configs_batch is therefore the
+  // all its participants/probes/fallback. configs_batch is therefore the
   // single-store total; pre-plane sharding paid ~num_groups times it, the
   // shared plane pays it once (configs_sharded_cold) and a warm start pays
   // nothing (configs_sharded_warm_delta == 0, asserted).
   int64_t configs_batch = 0;
   int64_t configs_sharded_cold = 0;
   int64_t configs_sharded_warm_delta = 0;
-  int num_groups = 0;
+  int num_groups = 0;  // participants of the cold sharded pass (>= 2:
+                       // it fanned out, so the sharing bar below is live)
 };
 
 bool RunWorkload(const xml::Tree& tree, const xml::DocPlane& plane,
@@ -413,7 +414,7 @@ int WriteJsonSmoke(const std::string& path) {
     std::printf(
         "%-13s batch %.0f -> %.0f qps, sharded %.0f -> %.0f qps "
         "(jump x%.2f vs PR3 baseline, %.1f%% positions jumped; "
-        "%d groups intern %lld configs once, warm delta %lld)\n",
+        "%d participants intern %lld configs once, warm delta %lld)\n",
         r.name.c_str(), r.batch_full_qps, r.batch_jump_qps,
         r.sharded_baseline_qps, r.sharded_jump_qps, speedup,
         100.0 * r.jumped_fraction, r.num_groups,

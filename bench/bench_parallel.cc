@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -184,7 +183,6 @@ void BM_Service(benchmark::State& state) {
   exec::QueryServiceOptions options;
   options.plane = &PlaneFor(tree);
   options.max_batch = 16;
-  options.max_delay = std::chrono::microseconds(200);
   exec::QueryService service(tree, options);
   constexpr int kQueriesPerClient = 16;
 
@@ -279,7 +277,6 @@ int WriteJsonSmoke(const std::string& path) {
     exec::QueryServiceOptions options;
     options.plane = &PlaneFor(tree);
     options.max_batch = 16;
-    options.max_delay = std::chrono::microseconds(200);
     exec::QueryService service(tree, options);
     constexpr int kQueriesPerClient = 8;
     std::atomic<int> errors{0};

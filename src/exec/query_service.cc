@@ -249,7 +249,9 @@ void QueryService::DispatcherLoop() {
     }
 #endif
     // Admission: hold the batch open until it is full or its oldest entry
-    // has aged out (stop closes it immediately -- drain fast). The age is
+    // has aged out (stop closes it immediately -- drain fast). With the
+    // default max_delay of 0 every entry has aged out already, so the batch
+    // closes at once with whatever is pending (work-conserving). The age is
     // re-checked on EVERY wakeup: cv_ wakeups caused by further Submits
     // (or spuriously) land back here, and without the explicit now() check
     // an already-aged batch would re-enter wait_until instead of closing

@@ -3,15 +3,23 @@
 // One service owns a loaded document, the query → MFA compilation cache
 // (rewrite::RewriteCache -- view-rewriting or plain mode), the per-query
 // transition-plane store (hype::TransitionPlaneStore -- compiled evaluation
-// state shared across batches and shards), and the thread pool. Any number of client threads Submit query text and get a future;
-// internally a dispatcher thread coalesces submissions into ADMISSION
-// BATCHES -- a batch closes when it reaches `max_batch` queries or when its
-// oldest entry has waited `max_delay` -- compiles the batch through the
-// cache (duplicate texts in a batch are evaluated once and fanned out), and
-// evaluates it as one sharded shared pass (exec::ShardedBatchEvaluator) over
-// the pool. Answers are bit-identical to a solo HypeEvaluator run of each
-// query, enforced by the randomized multi-client stress suite
+// state shared across batches and shards), and the thread pool. Any number
+// of client threads Submit query text and get a future; internally a
+// dispatcher thread coalesces submissions into ADMISSION BATCHES, compiles
+// each batch through the cache (duplicate texts in a batch are evaluated
+// once and fanned out), and evaluates it as one sharded shared pass
+// (exec::ShardedBatchEvaluator) -- on the dispatcher thread while the batch
+// is small, over the pool once its measured work pays for the fan-out.
+// Answers are bit-identical to a solo HypeEvaluator run of each query,
+// enforced by the randomized multi-client stress suite
 // (tests/exec_service_test.cc).
+//
+// Admission is WORK-CONSERVING by default: as soon as the dispatcher is
+// free it closes a batch with whatever is pending (up to `max_batch`), so an
+// idle service never holds a lone query back. Batching still happens under
+// load -- queries that arrive while a batch evaluates form the next one. A
+// positive `max_delay` adds an explicit hold: a batch then closes when it is
+// full or when its oldest entry has waited `max_delay`.
 //
 // Multi-tenant mode (QueryServiceOptions::catalog): a Submit carrying a
 // policy::RoleId compiles through the role's catalog partition and is
@@ -21,8 +29,8 @@
 //
 // Threading model: clients touch only the pending queue (one mutex);
 // the dispatcher alone touches the cache and the evaluators, so neither
-// needs locking; shard walks fan out over the pool with shard-local engine
-// state. Shutdown drains: every query submitted before the destructor runs
+// needs locking; a pass that fans out runs its helpers on the pool with
+// per-thread engine state. Shutdown drains: every query submitted before the destructor runs
 // is answered.
 
 #ifndef SMOQE_EXEC_QUERY_SERVICE_H_
@@ -81,15 +89,19 @@ struct QueryServiceOptions {
   /// Evaluation pool width; 0 = hardware concurrency.
   int num_threads = 0;
 
-  /// Shard-group target per pass; 0 = twice the pool width.
+  /// Unit-split target per pass (ShardedOptions::num_shards); 0 = twice
+  /// the pool width.
   int num_shards = 0;
 
-  /// A batch dispatches as soon as it holds this many queries (0 is
-  /// clamped to 1)...
+  /// A batch holds at most this many queries (0 is clamped to 1).
   size_t max_batch = 16;
 
-  /// ...or as soon as its oldest query has waited this long.
-  std::chrono::microseconds max_delay{200};
+  /// Admission hold. 0 (the default) is work-conserving: the dispatcher
+  /// closes a batch with whatever is pending the moment it is free. A
+  /// positive value holds a batch open until it is full or its oldest
+  /// query has waited this long -- larger batches, at the price of up to
+  /// this much added latency per batch.
+  std::chrono::microseconds max_delay{0};
 
   /// RewriteCache capacity (compiled MFAs kept hot), 0 = unbounded.
   size_t cache_capacity = 1024;
@@ -165,7 +177,9 @@ struct QueryServiceStats {
   int64_t queries_failed = 0;    // parse/rewrite errors
   int64_t batches = 0;
   int64_t batches_full = 0;  // admission closed by reaching max_batch
-  int64_t batches_aged = 0;  // admission closed by max_delay (or shutdown)
+  // Admission closed before reaching max_batch: the dispatcher was free
+  // (max_delay 0), the hold expired, or shutdown is draining.
+  int64_t batches_aged = 0;
   int64_t max_batch_seen = 0;
   int64_t coalesced_duplicates = 0;  // same-MFA queries evaluated once
   // Role-partition groups served by a warm sharded evaluator (one count

@@ -1,6 +1,7 @@
 #include "exec/sharded_eval.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <future>
 #include <utility>
@@ -12,12 +13,19 @@ namespace smoqe::exec {
 namespace {
 
 // Sums the per-run traversal counters of `add` into `into` (configs_interned
-// is cumulative per engine, so callers overwrite it instead).
+// is cumulative per engine, so the merge sums it over workers instead).
 void AccumulateRun(hype::EvalStats* into, const hype::EvalStats& add) {
   into->elements_visited += add.elements_visited;
   into->cans_vertices += add.cans_vertices;
   into->cans_edges += add.cans_edges;
   into->afa_state_requests += add.afa_state_requests;
+}
+
+void AccumulatePass(hype::SharedPassStats* into,
+                    const hype::SharedPassStats& add) {
+  into->nodes_walked += add.nodes_walked;
+  into->subtrees_skipped += add.subtrees_skipped;
+  into->positions_jumped += add.positions_jumped;
 }
 
 }  // namespace
@@ -46,11 +54,10 @@ ShardedBatchEvaluator::~ShardedBatchEvaluator() = default;
 // Decomposes the subtree of `context` into units: starting from the element
 // children, the heaviest unit is recursively replaced by its children (the
 // replaced node joining the spine) until there are enough units to feed the
-// shard groups. Units keep document order throughout; groups are contiguous
-// unit ranges balanced by subtree element counts. All sizing comes from the
-// plane's extents -- weighing a subtree is O(1) and enumerating element
-// children is a cursor walk over the preorder arrays, so building a plan no
-// longer pays an O(N) weight pre-pass per context.
+// pool's helpers. Units keep document order throughout. All sizing comes
+// from the plane's extents -- weighing a subtree is O(1) and enumerating
+// element children is a cursor walk over the preorder arrays, so building a
+// plan no longer pays an O(N) weight pre-pass per context.
 void ShardedBatchEvaluator::BuildPlan(xml::NodeId context) {
   plan_ = Plan{};
   plan_.context = context;
@@ -111,29 +118,6 @@ void ShardedBatchEvaluator::BuildPlan(xml::NodeId context) {
     plan_.units.erase(plan_.units.begin() + best);
     plan_.units.insert(plan_.units.begin() + best, kids.begin(), kids.end());
   }
-
-  // Contiguous greedy partition into at most `target` balanced groups.
-  const int num_groups =
-      std::min<int>(target, static_cast<int>(plan_.units.size()));
-  int64_t remaining = 0;
-  for (const Unit& u : plan_.units) remaining += u.weight;
-  size_t i = 0;
-  for (int g = 0; g < num_groups; ++g) {
-    const size_t begin = i;
-    // Leave at least one unit for each group still to come.
-    const size_t max_end =
-        plan_.units.size() - static_cast<size_t>(num_groups - g - 1);
-    const int64_t goal = remaining / (num_groups - g);
-    int64_t acc = 0;
-    while (i < max_end && (acc == 0 || acc + plan_.units[i].weight <= goal)) {
-      acc += plan_.units[i].weight;
-      ++i;
-    }
-    if (g == num_groups - 1) i = plan_.units.size();
-    plan_.groups.push_back(
-        {static_cast<int>(begin), static_cast<int>(i)});
-    remaining -= acc;
-  }
 }
 
 // Classifies every query for plan_.context: dead at the context (answered
@@ -190,35 +174,51 @@ void ShardedBatchEvaluator::ProbeQueries() {
       fallback_queries_.push_back(static_cast<uint32_t>(q));
     }
   }
+
+  // The run's jobs, light to heavy: units by weight (the caller claims from
+  // this end), then the fallback, heaviest by fiat -- it walks the whole
+  // context subtree, so it is the first job a helper claims.
+  jobs_.clear();
+  const int64_t num_sharded = static_cast<int64_t>(sharded_queries_.size());
+  if (num_sharded > 0) {
+    for (size_t u = 0; u < plan_.units.size(); ++u) {
+      jobs_.push_back(
+          {static_cast<int>(u), plan_.units[u].weight * num_sharded});
+    }
+    std::stable_sort(jobs_.begin(), jobs_.end(),
+                     [](const Job& a, const Job& b) {
+                       return a.weight < b.weight;
+                     });
+  }
+  if (!fallback_queries_.empty()) {
+    const int64_t elements = plane_->extent(plan_.spine[0].pos) + 1;
+    jobs_.push_back(
+        {-1, elements * static_cast<int64_t>(fallback_queries_.size())});
+  }
 }
 
-void ShardedBatchEvaluator::EnsureWorkers() {
+// Ensures `count` participant evaluators over the shardable queries (the
+// caller's first, helpers' at the fan-outs that need them) and the fallback
+// evaluator when some query needs it.
+void ShardedBatchEvaluator::EnsureWorkers(size_t count) {
   hype::BatchHypeOptions batch_options;
   batch_options.index = options_.index;
-  batch_options.plane = plane_;  // shared read-only across all shard tasks
+  batch_options.plane = plane_;  // shared read-only across participants
   batch_options.plane_store = store_;  // one interning universe per query
   batch_options.enable_jump = options_.enable_jump;
-
-  const size_t num_groups =
-      sharded_queries_.empty() ? 0 : plan_.groups.size();
-  if (workers_.size() != num_groups) {
-    workers_.clear();
-    std::vector<const automata::Mfa*> sharded_mfas;
-    sharded_mfas.reserve(sharded_queries_.size());
-    for (uint32_t q : sharded_queries_) sharded_mfas.push_back(mfas_[q]);
-    for (size_t g = 0; g < num_groups; ++g) {
-      workers_.push_back(std::make_unique<hype::BatchHypeEvaluator>(
-          tree_, sharded_mfas, batch_options));
-    }
+  auto subset = [&](const std::vector<uint32_t>& queries) {
+    std::vector<const automata::Mfa*> out;
+    out.reserve(queries.size());
+    for (uint32_t q : queries) out.push_back(mfas_[q]);
+    return out;
+  };
+  while (!sharded_queries_.empty() && workers_.size() < count) {
+    workers_.push_back(std::make_unique<hype::BatchHypeEvaluator>(
+        tree_, subset(sharded_queries_), batch_options));
   }
-  if (fallback_queries_.empty()) {
-    fallback_.reset();
-  } else if (fallback_ == nullptr) {
-    std::vector<const automata::Mfa*> fallback_mfas;
-    fallback_mfas.reserve(fallback_queries_.size());
-    for (uint32_t q : fallback_queries_) fallback_mfas.push_back(mfas_[q]);
+  if (!fallback_queries_.empty() && fallback_ == nullptr) {
     fallback_ = std::make_unique<hype::BatchHypeEvaluator>(
-        tree_, fallback_mfas, batch_options);
+        tree_, subset(fallback_queries_), batch_options);
   }
 }
 
@@ -241,9 +241,10 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
   if (n == 0 || tree_.empty()) return results;
 
   // Local control for this run: same deadline/poll as the caller's, but
-  // guaranteed to carry a token so a tripping shard can fan the failure out
-  // to its siblings. The internal token is re-armed per run; a caller token
-  // is left as-is (its cancellation must stay visible to the caller).
+  // guaranteed to carry a token so a tripping participant can fan the
+  // failure out to the others. The internal token is re-armed per run; a
+  // caller token is left as-is (its cancellation must stay visible to the
+  // caller).
   EvalControl run_control;
   if (control != nullptr) run_control = *control;
   if (run_control.token == nullptr && run_control.enabled()) {
@@ -252,8 +253,8 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
   }
   const bool gated = run_control.enabled();
   {
-    // Fail fast (and propagate nothing to workers) when the run is already
-    // cancelled or past its deadline at admission.
+    // Fail fast (and propagate nothing to participants) when the run is
+    // already cancelled or past its deadline at admission.
     EvalGate entry_gate(&run_control);
     if (!entry_gate.Refresh()) {
       last_status_ = entry_gate.status();
@@ -267,118 +268,150 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
     workers_.clear();
     fallback_.reset();
   }
-  EnsureWorkers();
+  EnsureWorkers(1);
 
   stats_.pass = hype::SharedPassStats{};
   stats_.num_units = static_cast<int>(plan_.units.size());
-  stats_.num_groups = static_cast<int>(plan_.groups.size());
+  stats_.num_groups = jobs_.empty() ? 0 : 1;
   stats_.num_sharded_queries = static_cast<int>(sharded_queries_.size());
   stats_.num_fallback_queries = static_cast<int>(fallback_queries_.size());
 
-  // One task per shard group (plus one for the fallback pass); each task
-  // touches only its own evaluator and output slot. The state shared across
-  // threads is the immutable tree / MFAs / index / doc plane plus the
-  // read-mostly per-query transition planes (concurrently readable by
-  // design, see transition_plane.h).
+  // Participant p runs on workers_[p] and writes only its own slot, the
+  // answer slots of the units it claims and, if it claims the fallback, the
+  // fallback results. The state shared across threads is the immutable
+  // tree / MFAs / index / doc plane plus the read-mostly per-query
+  // transition planes (concurrently readable by design, see
+  // transition_plane.h).
   const size_t num_sharded = sharded_queries_.size();
-  struct GroupOut {
-    std::vector<std::vector<xml::NodeId>> per_query;
-    std::vector<hype::EvalStats> stats;
+  struct Participant {
+    EvalGate gate;
+    std::vector<hype::EvalStats> stats;  // per sharded query, over its units
     hype::SharedPassStats pass;
-    Status status;
   };
-  std::vector<GroupOut> outs(workers_.size());
-  auto run_group = [&](size_t g) {
-    hype::BatchHypeEvaluator& worker = *workers_[g];
-    GroupOut& out = outs[g];
-    out.per_query.assign(num_sharded, {});
-    out.stats.assign(num_sharded, hype::EvalStats{});
-    EvalGate gate(gated ? &run_control : nullptr);
-    EvalGate* gp = gated ? &gate : nullptr;
-    for (int u = plan_.groups[g].first; u < plan_.groups[g].second; ++u) {
-      // Force a real check between units (a unit can be arbitrarily small,
-      // so the countdown alone might span many of them), and give the chaos
-      // suite its per-unit fault site. A trip here -- or inside the walk
-      // below -- cancels the shared token, so sibling groups stop at their
-      // next poll instead of finishing their own unit lists.
-      if (gp != nullptr) {
-        SMOQE_FAULT_HIT(FaultSite::kShardUnit,
-                        [&](Status s) { gate.Trip(std::move(s)); });
-        if (!gate.Refresh()) break;
-      }
-      std::vector<std::vector<xml::NodeId>> unit_answers =
-          worker.EvalSubtree(context, plan_.units[u].root, gp);
-      if (gp != nullptr && gate.tripped()) break;
-      for (size_t s = 0; s < num_sharded; ++s) {
-        out.per_query[s].insert(out.per_query[s].end(),
-                                unit_answers[s].begin(),
-                                unit_answers[s].end());
-        AccumulateRun(&out.stats[s], worker.stats(s));
-      }
-      out.pass.nodes_walked += worker.pass_stats().nodes_walked;
-      out.pass.subtrees_skipped += worker.pass_stats().subtrees_skipped;
-      out.pass.positions_jumped += worker.pass_stats().positions_jumped;
-    }
-    out.status = gate.status();
-    for (size_t s = 0; s < num_sharded; ++s) {
-      out.stats[s].elements_total = worker.stats(s).elements_total;
-      out.stats[s].configs_interned = worker.stats(s).configs_interned;
-    }
+  const int pool_width =
+      options_.pool != nullptr ? options_.pool->num_threads() : 0;
+  std::vector<Participant> parts;
+  parts.reserve(1 + static_cast<size_t>(pool_width));  // no reallocation
+  auto add_participant = [&] {
+    parts.push_back({EvalGate(gated ? &run_control : nullptr),
+                     std::vector<hype::EvalStats>(num_sharded),
+                     hype::SharedPassStats{}});
   };
+  add_participant();
+  std::vector<std::vector<std::vector<xml::NodeId>>> unit_answers(
+      plan_.units.size());
   std::vector<std::vector<xml::NodeId>> fallback_results;
-  Status fallback_status;
-  auto run_fallback = [&] {
-    EvalGate gate(gated ? &run_control : nullptr);
-    fallback_results = fallback_->EvalAll(context, gated ? &gate : nullptr);
-    fallback_status = gate.status();
+
+  // Runs one job as participant `p`; returns the engine-node visits made.
+  auto run_job = [&](size_t p, const Job& job) -> int64_t {
+    Participant& part = parts[p];
+    EvalGate* gp = gated ? &part.gate : nullptr;
+    int64_t visits = 0;
+    if (job.unit < 0) {
+      fallback_results = fallback_->EvalAll(context, gp);
+      AccumulatePass(&part.pass, fallback_->pass_stats());
+      for (size_t f = 0; f < fallback_queries_.size(); ++f) {
+        visits += fallback_->stats(f).elements_visited;
+      }
+      return visits;
+    }
+    // Force a real check between units (a unit can be arbitrarily small,
+    // so the countdown alone might span many of them), and give the chaos
+    // suite its per-unit fault site. A trip here -- or inside the walk
+    // below -- cancels the shared token, so the other participants stop at
+    // their next poll instead of finishing their jobs.
+    if (gp != nullptr) {
+      SMOQE_FAULT_HIT(FaultSite::kShardUnit,
+                      [&](Status s) { part.gate.Trip(std::move(s)); });
+      if (!part.gate.Refresh()) return 0;
+    }
+    hype::BatchHypeEvaluator& worker = *workers_[p];
+    unit_answers[job.unit] =
+        worker.EvalSubtree(context, plan_.units[job.unit].root, gp);
+    AccumulatePass(&part.pass, worker.pass_stats());
+    for (size_t s = 0; s < num_sharded; ++s) {
+      AccumulateRun(&part.stats[s], worker.stats(s));
+      visits += worker.stats(s).elements_visited;
+    }
+    return visits;
   };
 
-  // Blocking on pool futures from one of the pool's own threads can
-  // deadlock (the blocked worker may be the one the tasks need), so such a
-  // caller runs the shards inline instead -- slower, never wrong. The
-  // service always calls from its dispatcher thread and takes the pool
-  // path.
-  if (options_.pool != nullptr && !options_.pool->OnPoolThread()) {
-    std::vector<std::future<void>> done;
-    for (size_t g = 0; g < workers_.size(); ++g) {
-      done.push_back(
-          options_.pool->SubmitWithResult([&run_group, g] { run_group(g); }));
+  // Inline phase (see the design note): the caller claims jobs from the
+  // light end while the visits it predicts for the unclaimed weight stay
+  // within budget. A caller on one of the pool's own threads never fans
+  // out: blocking it on pool futures could deadlock the pool (the blocked
+  // worker may be the one the helpers need) -- slower, never wrong.
+  const bool can_fan_out =
+      options_.pool != nullptr && !options_.pool->OnPoolThread();
+  int64_t claimed = 0;
+  int64_t unclaimed = 0;
+  int64_t visits = 0;
+  for (const Job& job : jobs_) unclaimed += job.weight;
+  size_t next = 0;
+  while (next < jobs_.size() && !parts[0].gate.tripped()) {
+    if (can_fan_out) {
+      // Before any measurement, the next job's weight bounds its visits (an
+      // engine visits an element at most once), so even the first inline
+      // job costs at most the budget.
+      const double predicted =
+          claimed > 0 ? static_cast<double>(visits) *
+                            static_cast<double>(unclaimed) /
+                            static_cast<double>(claimed)
+                      : static_cast<double>(jobs_[next].weight);
+      if (predicted > static_cast<double>(kFanOutBudget)) break;
     }
-    if (fallback_ != nullptr) {
-      done.push_back(options_.pool->SubmitWithResult(run_fallback));
-    }
-    for (std::future<void>& d : done) d.get();
-  } else {
-    for (size_t g = 0; g < workers_.size(); ++g) run_group(g);
-    if (fallback_ != nullptr) run_fallback();
+    const Job& job = jobs_[next++];
+    visits += run_job(0, job);
+    claimed += job.weight;
+    unclaimed -= job.weight;
   }
 
-  // Any tripped task aborts the whole run (partial merges would break the
-  // bit-identity contract). All tasks have joined, the evaluator's plan,
-  // workers, and planes are intact, and every engine resets on its next
-  // pass -- the run can simply be retried.
-  if (gated) {
-    last_status_ = fallback_status;
-    for (const GroupOut& g : outs) {
-      if (!g.status.ok()) {
-        last_status_ = g.status;
-        break;
-      }
+  // Hand-off: helpers claim every remaining job from the heavy end while
+  // the caller blocks -- claiming alongside them would keep the caller's
+  // CPU busy under the helpers it just woke.
+  if (next < jobs_.size() && !parts[0].gate.tripped()) {
+    const size_t remaining = jobs_.size() - next;
+    const size_t helpers =
+        std::min(static_cast<size_t>(pool_width), remaining);
+    EnsureWorkers(1 + helpers);
+    for (size_t p = 1; p <= helpers; ++p) add_participant();
+    std::atomic<size_t> taken{0};
+    std::vector<std::future<void>> done;
+    for (size_t p = 1; p <= helpers; ++p) {
+      done.push_back(options_.pool->SubmitWithResult([&, p] {
+        for (size_t k = taken.fetch_add(1);
+             k < remaining && !parts[p].gate.tripped();
+             k = taken.fetch_add(1)) {
+          run_job(p, jobs_[jobs_.size() - 1 - k]);
+        }
+      }));
     }
-    if (!last_status_.ok()) {
-      merged_stats_.assign(n, hype::EvalStats{});
+    for (std::future<void>& d : done) d.get();
+    stats_.num_groups = static_cast<int>(1 + helpers);
+  }
+
+  for (const Participant& part : parts) {
+    AccumulatePass(&stats_.pass, part.pass);
+  }
+  // Any tripped participant aborts the whole run (partial merges would
+  // break the bit-identity contract). All participants have joined, the
+  // evaluator's plan, workers, and planes are intact, and every engine
+  // resets on its next pass -- the run can simply be retried.
+  for (const Participant& part : parts) {
+    if (part.gate.tripped()) {
+      last_status_ = part.gate.status();
       return std::vector<std::vector<xml::NodeId>>(n);
     }
   }
 
-  // Deterministic merge: spine answers, then every group's answers in unit
+  // Deterministic merge: spine answers, then every unit's answers in unit
   // (document) order -- independent of which thread ran what, when.
   for (size_t s = 0; s < num_sharded; ++s) {
     const uint32_t q = sharded_queries_[s];
     std::vector<xml::NodeId>& out = results[q];
     out = spine_answers_[q];
-    for (const GroupOut& g : outs) {
-      out.insert(out.end(), g.per_query[s].begin(), g.per_query[s].end());
+    for (const auto& unit : unit_answers) {
+      out.insert(out.end(), unit[s].begin(), unit[s].end());
     }
     // Spine nodes and unit subtrees are pairwise disjoint, so the pieces
     // are duplicate-free; only the order needs repairing.
@@ -388,9 +421,11 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
     hype::EvalStats& merged = merged_stats_[q];
     merged.elements_total = tree_.CountElements();
     merged.elements_visited = spine_visits_[q];
-    for (const GroupOut& g : outs) AccumulateRun(&merged, g.stats[s]);
-    for (const GroupOut& g : outs) {
-      merged.configs_interned += g.stats[s].configs_interned;
+    for (const Participant& part : parts) AccumulateRun(&merged, part.stats[s]);
+    // Engine counters are cumulative, so every worker's attribution counts,
+    // whether or not it ran this time.
+    for (const auto& worker : workers_) {
+      merged.configs_interned += worker->stats(s).configs_interned;
     }
   }
   for (size_t f = 0; f < fallback_queries_.size(); ++f) {
@@ -398,19 +433,8 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
     results[q] = std::move(fallback_results[f]);
     merged_stats_[q] = fallback_->stats(f);
   }
-
-  for (const GroupOut& g : outs) {
-    stats_.pass.nodes_walked += g.pass.nodes_walked;
-    stats_.pass.subtrees_skipped += g.pass.subtrees_skipped;
-    stats_.pass.positions_jumped += g.pass.positions_jumped;
-  }
   if (!sharded_queries_.empty()) {
     stats_.pass.nodes_walked += static_cast<int64_t>(plan_.spine.size());
-  }
-  if (fallback_ != nullptr) {
-    stats_.pass.nodes_walked += fallback_->pass_stats().nodes_walked;
-    stats_.pass.subtrees_skipped += fallback_->pass_stats().subtrees_skipped;
-    stats_.pass.positions_jumped += fallback_->pass_stats().positions_jumped;
   }
   return results;
 }

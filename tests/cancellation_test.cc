@@ -1,14 +1,16 @@
 // common/cancellation.h and its plumbing through every evaluation driver:
 // CancelToken/Deadline/EvalGate unit behavior, abort propagation in
 // HypeEvaluator, BatchHypeEvaluator, ShardedBatchEvaluator and
-// StandingQueryEvaluator::Advance, engine reusability after an abort, and
-// the documented cancellation-latency bound (at most one checkpoint
-// interval of extra node entries before the traversal stops).
+// StandingQueryEvaluator::Advance (including a sharded run that has fanned
+// out to pool helpers), engine reusability after an abort, and the
+// documented cancellation-latency bound (at most one checkpoint interval of
+// extra node entries before the traversal stops).
 
 #include "common/cancellation.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -16,6 +18,7 @@
 
 #include "automata/compiler.h"
 #include "automata/mfa.h"
+#include "common/fault_injection.h"
 #include "common/thread_pool.h"
 #include "exec/sharded_eval.h"
 #include "exec/standing_query.h"
@@ -386,6 +389,90 @@ TEST(CancellationTest, MidRunDeadlineOnThreadedPass) {
     EXPECT_EQ(eval.last_status().code(), StatusCode::kDeadlineExceeded);
     for (const NodeVec& a : results) EXPECT_TRUE(a.empty());
   }
+}
+
+// An abort on the FAN-OUT path (the small suites above stay inline): a
+// cancel lands after the caller has handed its batch to pool helpers, one
+// participant trips, and every other participant stops within one
+// checkpoint interval -- so the aborted run walks at most one interval per
+// granted poll, far short of the full pass. The call returns all-empty
+// answers with the status, and the same evaluator's next run is
+// bit-identical to solo HyPE.
+TEST(CancellationTest, FanOutAbortStopsEveryParticipantAndStaysReusable) {
+  xml::Tree tree = Hospital(400, 41);
+  std::vector<automata::Mfa> mfas;
+  for (const std::string& q : Workload()) mfas.push_back(Compile(q));
+  std::vector<const automata::Mfa*> ptrs;
+  for (const automata::Mfa& m : mfas) ptrs.push_back(&m);
+  std::vector<NodeVec> solo;
+  std::vector<int64_t> solo_visited;
+  for (const automata::Mfa& m : mfas) {
+    hype::HypeEvaluator eval(tree, m);
+    solo.push_back(eval.Eval(tree.root()));
+    solo_visited.push_back(eval.stats().elements_visited);
+  }
+
+  common::ThreadPool pool(4);
+  exec::ShardedOptions options;
+  options.pool = &pool;
+  exec::ShardedBatchEvaluator eval(tree, ptrs, options);
+  ASSERT_EQ(eval.EvalAll(tree.root()), solo);
+  const int participants = eval.stats().num_groups;
+  ASSERT_GT(participants, 1) << "the batch must fan out";
+  const int64_t full_walk = eval.stats().pass.nodes_walked;
+
+  // The first kGranted refreshes pass -- enough for the caller's inline
+  // unit (the run's entry check, the unit check, the unit's entry check) --
+  // then the poll demands cancellation. Every participant's gate starts
+  // with one interval of credit and each granted refresh adds one more, so
+  // the walk is bounded by (kGranted + participants) intervals (+1 per
+  // interval for a unit's unpolled top entry).
+  constexpr int32_t kInterval = 32;
+  constexpr int kGranted = 12;
+  std::atomic<int> polls{0};
+  EvalControl control;
+  control.checkpoint_interval = kInterval;
+  control.extra_poll = [&polls] {
+    return polls.fetch_add(1) < kGranted ? StatusCode::kOk
+                                         : StatusCode::kCancelled;
+  };
+  std::vector<NodeVec> aborted = eval.EvalAll(tree.root(), control);
+  EXPECT_EQ(eval.last_status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(eval.stats().num_groups, participants) << "abort after fan-out";
+  ASSERT_EQ(aborted.size(), ptrs.size());
+  for (const NodeVec& a : aborted) EXPECT_TRUE(a.empty());
+  const int64_t bound = int64_t{kGranted + participants} * (kInterval + 1);
+  EXPECT_LE(eval.stats().pass.nodes_walked, bound);
+  EXPECT_LT(bound * 4, full_walk);
+
+  std::vector<NodeVec> again = eval.EvalAll(tree.root());
+  EXPECT_TRUE(eval.last_status().ok());
+  EXPECT_EQ(again, solo);
+  for (size_t q = 0; q < mfas.size(); ++q) {
+    EXPECT_EQ(eval.merged_stats(q).elements_visited, solo_visited[q]) << q;
+  }
+
+#ifdef SMOQE_FAULT_INJECTION
+  // The same on an injected unit fault: the second unit hit is the first
+  // unit a helper claims (the caller's inline unit took the first).
+  auto& fi = FaultInjector::Global();
+  fi.Arm(41);
+  FaultPlan plan;
+  plan.kind = FaultKind::kTransientError;
+  plan.window_first = 1;
+  plan.window_count = 1;
+  fi.SetPlan(FaultSite::kShardUnit, plan);
+  EvalControl faulted;
+  faulted.checkpoint_interval = kInterval;
+  faulted.deadline = Deadline::After(std::chrono::hours(1));  // gates armed
+  aborted = eval.EvalAll(tree.root(), faulted);
+  fi.Disarm();
+  EXPECT_EQ(eval.last_status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(eval.stats().num_groups, participants);
+  for (const NodeVec& a : aborted) EXPECT_TRUE(a.empty());
+  EXPECT_EQ(eval.EvalAll(tree.root()), solo);
+  EXPECT_TRUE(eval.last_status().ok());
+#endif
 }
 
 }  // namespace

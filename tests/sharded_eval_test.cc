@@ -2,8 +2,9 @@
 // bit-identical to solo HypeEvaluator / BatchHypeEvaluator runs -- across
 // pool widths, shard targets, index modes, contexts, and randomized query
 // workloads (including non-shardable queries that exercise the whole-tree
-// fallback, and dead queries). Runs under the `concurrency` CTest label, so
-// the TSan CI job races real shard walks.
+// fallback, and dead queries) -- on both execution paths, inline on the
+// calling thread and fanned out to pool helpers. Runs under the
+// `concurrency` CTest label, so the TSan CI job races real helper walks.
 
 #include "exec/sharded_eval.h"
 
@@ -70,6 +71,62 @@ std::vector<std::string> FixedQueries() {
   };
 }
 
+// Solo HypeEvaluator answers and statistics: the reference every sharded
+// run must reproduce bit for bit.
+struct SoloRun {
+  std::vector<NodeVec> answers;
+  std::vector<hype::EvalStats> stats;
+};
+
+SoloRun Solo(const xml::Tree& tree, const std::vector<automata::Mfa>& mfas,
+             const hype::SubtreeLabelIndex* index, xml::NodeId context) {
+  hype::HypeOptions options;
+  options.index = index;
+  SoloRun run;
+  for (const automata::Mfa& mfa : mfas) {
+    hype::HypeEvaluator eval(tree, mfa, options);
+    run.answers.push_back(eval.Eval(context));
+    run.stats.push_back(eval.stats());
+  }
+  return run;
+}
+
+// Runs `sharded` once at `context` and checks it against `solo`.
+void ExpectMatchesSolo(ShardedBatchEvaluator& sharded, xml::NodeId context,
+                       const SoloRun& solo,
+                       const std::vector<std::string>& queries,
+                       const std::string& setup) {
+  std::vector<NodeVec> answers = sharded.EvalAll(context);
+  ASSERT_EQ(answers.size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(answers[i], solo.answers[i])
+        << "sharded vs solo, query " << queries[i] << " " << setup;
+    // Sharded traversal work must equal the solo pass: same elements
+    // visited, same cans sizes -- the units really did partition the solo
+    // walk rather than approximate it.
+    EXPECT_EQ(sharded.merged_stats(i).elements_visited,
+              solo.stats[i].elements_visited)
+        << queries[i] << " " << setup;
+    EXPECT_EQ(sharded.merged_stats(i).cans_vertices,
+              solo.stats[i].cans_vertices)
+        << queries[i] << " " << setup;
+  }
+}
+
+// The three index modes every equivalence check runs in.
+struct IndexModes {
+  explicit IndexModes(const xml::Tree& tree)
+      : full(hype::SubtreeLabelIndex::Build(
+            tree, hype::SubtreeLabelIndex::Mode::kFull)),
+        compressed(hype::SubtreeLabelIndex::Build(
+            tree, hype::SubtreeLabelIndex::Mode::kCompressed, 8)) {}
+  std::vector<const hype::SubtreeLabelIndex*> all() const {
+    return {nullptr, &full, &compressed};
+  }
+  hype::SubtreeLabelIndex full;
+  hype::SubtreeLabelIndex compressed;
+};
+
 // Checks ShardedBatchEvaluator == solo HypeEvaluator at `context` for every
 // (index mode x pool width x shard target) combination.
 void CheckEquivalence(const xml::Tree& tree,
@@ -78,12 +135,6 @@ void CheckEquivalence(const xml::Tree& tree,
   std::vector<automata::Mfa> mfas = CompileAll(queries);
   std::vector<const automata::Mfa*> ptrs;
   for (const automata::Mfa& mfa : mfas) ptrs.push_back(&mfa);
-
-  hype::SubtreeLabelIndex full =
-      hype::SubtreeLabelIndex::Build(tree, hype::SubtreeLabelIndex::Mode::kFull);
-  hype::SubtreeLabelIndex compressed = hype::SubtreeLabelIndex::Build(
-      tree, hype::SubtreeLabelIndex::Mode::kCompressed, 8);
-  const hype::SubtreeLabelIndex* indexes[] = {nullptr, &full, &compressed};
 
   common::ThreadPool pool(4);
   struct PoolSetup {
@@ -94,43 +145,47 @@ void CheckEquivalence(const xml::Tree& tree,
       {nullptr, 0}, {nullptr, 3}, {&pool, 0}, {&pool, 1}, {&pool, 16},
   };
 
-  for (const hype::SubtreeLabelIndex* index : indexes) {
-    hype::HypeOptions solo_options;
-    solo_options.index = index;
-    std::vector<NodeVec> solo;
-    std::vector<hype::EvalStats> solo_stats;
-    for (size_t i = 0; i < mfas.size(); ++i) {
-      hype::HypeEvaluator eval(tree, mfas[i], solo_options);
-      solo.push_back(eval.Eval(context));
-      solo_stats.push_back(eval.stats());
-    }
-
+  const IndexModes modes(tree);
+  for (const hype::SubtreeLabelIndex* index : modes.all()) {
+    const SoloRun solo = Solo(tree, mfas, index, context);
     for (const PoolSetup& setup : setups) {
       ShardedOptions options;
       options.index = index;
       options.pool = setup.pool;
       options.num_shards = setup.num_shards;
       ShardedBatchEvaluator sharded(tree, ptrs, options);
-      std::vector<NodeVec> answers = sharded.EvalAll(context);
-      ASSERT_EQ(answers.size(), queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        ASSERT_EQ(answers[i], solo[i])
-            << "sharded vs solo, query " << queries[i]
-            << " index=" << (index != nullptr)
-            << " pool=" << (setup.pool != nullptr ? pool.num_threads() : 0)
-            << " shards=" << setup.num_shards;
-        // Sharded traversal work must equal the solo pass: same elements
-        // visited, same cans sizes -- the shards really did partition the
-        // solo walk rather than approximate it.
-        EXPECT_EQ(sharded.merged_stats(i).elements_visited,
-                  solo_stats[i].elements_visited)
-            << queries[i] << " shards=" << setup.num_shards;
-        EXPECT_EQ(sharded.merged_stats(i).cans_vertices,
-                  solo_stats[i].cans_vertices)
-            << queries[i] << " shards=" << setup.num_shards;
-      }
+      ExpectMatchesSolo(
+          sharded, context, solo, queries,
+          "index=" + std::to_string(index != nullptr) +
+              " pool=" +
+              std::to_string(setup.pool != nullptr ? pool.num_threads() : 0) +
+              " shards=" + std::to_string(setup.num_shards));
     }
   }
+}
+
+// Evaluates `queries` at the root over a 4-thread pool in every index mode,
+// checks each run against solo HyPE, and returns stats().num_groups per
+// mode -- which execution path the counts-only fan-out rule chose.
+std::vector<int> PooledGroupsPerIndexMode(
+    const xml::Tree& tree, const std::vector<std::string>& queries) {
+  std::vector<automata::Mfa> mfas = CompileAll(queries);
+  std::vector<const automata::Mfa*> ptrs;
+  for (const automata::Mfa& mfa : mfas) ptrs.push_back(&mfa);
+  common::ThreadPool pool(4);
+  const IndexModes modes(tree);
+  std::vector<int> groups;
+  for (const hype::SubtreeLabelIndex* index : modes.all()) {
+    ShardedOptions options;
+    options.index = index;
+    options.pool = &pool;
+    ShardedBatchEvaluator sharded(tree, ptrs, options);
+    ExpectMatchesSolo(sharded, tree.root(),
+                      Solo(tree, mfas, index, tree.root()), queries,
+                      "index=" + std::to_string(index != nullptr));
+    groups.push_back(sharded.stats().num_groups);
+  }
+  return groups;
 }
 
 TEST(ShardedEvalTest, FixedWorkloadAtRoot) {
@@ -238,6 +293,34 @@ TEST(ShardedEvalTest, MatchesBatchEvaluatorOnWideFlatDocument) {
     options.num_shards = shards;
     ShardedBatchEvaluator sharded(tree, ptrs, options);
     EXPECT_EQ(sharded.EvalAll(tree.root()), expected) << shards;
+  }
+}
+
+// A batch whose whole weight (elements x queries) is within the fan-out
+// budget can never predict more visits than that, so it must stay on the
+// calling thread even with a pool available.
+TEST(ShardedEvalTest, SmallBatchStaysInline) {
+  xml::Tree tree = Hospital(3, 43);
+  const std::vector<std::string> queries = FixedQueries();
+  ASSERT_LE(int64_t{tree.CountElements()} *
+                static_cast<int64_t>(queries.size()),
+            ShardedBatchEvaluator::kFanOutBudget);
+  for (int groups : PooledGroupsPerIndexMode(tree, queries)) {
+    EXPECT_EQ(groups, 1);
+  }
+}
+
+// A batch far past the budget must hand its remaining units (and the
+// fallback) to pool helpers -- the path small suites would otherwise never
+// reach -- and still match solo HyPE bit for bit.
+TEST(ShardedEvalTest, LargeBatchFansOut) {
+  xml::Tree tree = Hospital(400, 47);
+  const std::vector<std::string> queries = FixedQueries();
+  ASSERT_GT(int64_t{tree.CountElements()} *
+                static_cast<int64_t>(queries.size()),
+            8 * ShardedBatchEvaluator::kFanOutBudget);
+  for (int groups : PooledGroupsPerIndexMode(tree, queries)) {
+    EXPECT_GT(groups, 1);
   }
 }
 
