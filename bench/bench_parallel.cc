@@ -290,14 +290,16 @@ int WriteJsonSmoke(const std::string& path) {
     }
     // Snapshot the admission/cache counters of everything this
     // configuration served: how batches closed, compile-cache efficiency,
-    // same-MFA coalescing, and warm-evaluator reuse.
+    // same-MFA coalescing, warm-evaluator reuse, and how many batches
+    // fanned out over the pool vs. how many evaluated at once.
     const exec::QueryServiceStats st = service.stats();
     std::fprintf(out,
                  "%s    {\"clients\": %d, \"qps\": %.1f, "
                  "\"batches\": %lld, \"batches_full\": %lld, "
                  "\"batches_aged\": %lld, \"cache_hits\": %lld, "
                  "\"cache_misses\": %lld, \"coalesced\": %lld, "
-                 "\"evaluator_reuses\": %lld, "
+                 "\"evaluator_reuses\": %lld, \"fan_outs\": %lld, "
+                 "\"max_active_batches\": %lld, "
                  "\"queries_timed_out\": %lld, \"queries_shed\": %lld, "
                  "\"queries_cancelled\": %lld, \"queries_retried\": %lld}",
                  first ? "" : ",\n", clients,
@@ -309,6 +311,8 @@ int WriteJsonSmoke(const std::string& path) {
                  static_cast<long long>(st.cache.misses),
                  static_cast<long long>(st.coalesced_duplicates),
                  static_cast<long long>(st.evaluator_reuses),
+                 static_cast<long long>(st.fan_outs),
+                 static_cast<long long>(st.max_active_batches),
                  static_cast<long long>(st.queries_timed_out),
                  static_cast<long long>(st.queries_shed),
                  static_cast<long long>(st.queries_cancelled),
@@ -316,8 +320,8 @@ int WriteJsonSmoke(const std::string& path) {
     std::printf(
         "service clients=%d: %lld batches (%lld full, %lld aged), "
         "rewrite cache %lld hits / %lld misses, %lld coalesced, "
-        "%lld evaluator reuses, %lld timed out / %lld shed / "
-        "%lld cancelled / %lld retried\n",
+        "%lld evaluator reuses, %lld fanned out, %lld max active, "
+        "%lld timed out / %lld shed / %lld cancelled / %lld retried\n",
         clients, static_cast<long long>(st.batches),
         static_cast<long long>(st.batches_full),
         static_cast<long long>(st.batches_aged),
@@ -325,6 +329,8 @@ int WriteJsonSmoke(const std::string& path) {
         static_cast<long long>(st.cache.misses),
         static_cast<long long>(st.coalesced_duplicates),
         static_cast<long long>(st.evaluator_reuses),
+        static_cast<long long>(st.fan_outs),
+        static_cast<long long>(st.max_active_batches),
         static_cast<long long>(st.queries_timed_out),
         static_cast<long long>(st.queries_shed),
         static_cast<long long>(st.queries_cancelled),

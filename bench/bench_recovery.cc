@@ -30,6 +30,7 @@
 // --smoqe_json=FILE = the self-timed smoke run above (BENCH_recovery.json
 // in CI). Document size scales with SMOQE_BENCH_PATIENTS.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -122,6 +123,13 @@ double Seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+// Median of a non-empty sample (the upper middle one for an even count).
+double Median(std::vector<double> values) {
+  std::nth_element(values.begin(), values.begin() + values.size() / 2,
+                   values.end());
+  return values[values.size() / 2];
 }
 
 // The gate: a cold reopen of a store that lived through a delta stream
@@ -313,16 +321,47 @@ int WriteJsonSmoke(const std::string& path) {
   TimeColdStart(gate_dir, &recoveries_per_sec, &reparses_per_sec);
 
   // ---- mixed 90/10: in-memory vs durable ----
-  const double inmemory_qps = MixedPhaseInMemory(doc, workload);
+  // One 0.4 s phase per side is too short a sample for a ratio gate: the
+  // machine's drift between the two phases moves the ratio by more than
+  // the margin to the bar. So the phases run as interleaved A/B pairs,
+  // alternating which side goes first, and every figure is a median.
+  constexpr int kMixedPairs = 7;
+  std::vector<double> inmemory_runs;
+  std::vector<double> durable_runs;
+  std::vector<double> ratios;
   storage::DurableEpochStore::Stats durable_stats;
-  const double durable_qps =
-      MixedPhaseDurable(doc, workload, FreshDir("mixed"), &durable_stats);
-  const double ratio = inmemory_qps > 0 ? durable_qps / inmemory_qps : 0.0;
+  for (int pair = 0; pair < kMixedPairs; ++pair) {
+    double inmemory = 0;
+    double durable = 0;
+    storage::DurableEpochStore::Stats pair_stats;
+    for (int side = 0; side < 2; ++side) {
+      if ((side == 0) == (pair % 2 == 0)) {
+        inmemory = MixedPhaseInMemory(doc, workload);
+      } else {
+        durable =
+            MixedPhaseDurable(doc, workload, FreshDir("mixed"), &pair_stats);
+      }
+    }
+    durable_stats.wal_rollbacks += pair_stats.wal_rollbacks;
+    durable_stats.compactions_failed += pair_stats.compactions_failed;
+    inmemory_runs.push_back(inmemory);
+    durable_runs.push_back(durable);
+    ratios.push_back(inmemory > 0 ? durable / inmemory : 0.0);
+    std::printf("mixed 90/10 pair %d (%s first): in-memory %.0f ops/s, "
+                "durable %.0f ops/s (%.2fx)\n",
+                pair + 1, pair % 2 == 0 ? "in-memory" : "durable", inmemory,
+                durable, ratios.back());
+  }
+  const double inmemory_qps = Median(inmemory_runs);
+  const double durable_qps = Median(durable_runs);
+  const double ratio = Median(ratios);
 
   std::printf(
-      "cold start: %.1f recoveries/s vs %.1f reparses/s; mixed 90/10: "
-      "in-memory %.0f ops/s, durable %.0f ops/s (%.2fx)\n",
-      recoveries_per_sec, reparses_per_sec, inmemory_qps, durable_qps, ratio);
+      "cold start: %.1f recoveries/s vs %.1f reparses/s; mixed 90/10 "
+      "medians over %d pairs: in-memory %.0f ops/s, durable %.0f ops/s, "
+      "ratio %.2fx\n",
+      recoveries_per_sec, reparses_per_sec, kMixedPairs, inmemory_qps,
+      durable_qps, ratio);
 
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -351,11 +390,11 @@ int WriteJsonSmoke(const std::string& path) {
 
   // The acceptance bar: full crash safety (a WAL append + fsync on every
   // write, epoch swap on publish) may cost at most half the mixed
-  // throughput of the non-durable configuration.
+  // throughput of the non-durable configuration, in the median pair.
   if (ratio < 0.5) {
     std::fprintf(stderr,
-                 "FAIL: durable mixed throughput is %.2fx of in-memory "
-                 "(bar: >= 0.5x)\n",
+                 "FAIL: durable mixed throughput is %.2fx of in-memory in "
+                 "the median pair (bar: >= 0.5x)\n",
                  ratio);
     return 1;
   }

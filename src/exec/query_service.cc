@@ -11,12 +11,15 @@
 namespace smoqe::exec {
 
 // See the header: one reusable ShardedBatchEvaluator per recent MFA set
-// within one plane universe (the service's, or one role partition's).
+// within one plane universe (the service's, or one role partition's), with
+// or without the pool attached.
 struct QueryService::CachedEvaluator {
   std::vector<std::shared_ptr<const automata::Mfa>> mfas;  // pointer-sorted
   ShardedBatchEvaluator eval;
   int64_t last_used = 0;
   hype::TransitionPlaneStore* store = nullptr;  // cache-key component
+  bool pooled = false;                          // cache-key component
+  bool checked_out = false;
   // Keeps the role partition (its planes, referenced by `eval`) alive while
   // this evaluator is cached, even across catalog eviction of a cold role.
   std::shared_ptr<policy::RoleCatalog::Entry> pin;
@@ -37,11 +40,16 @@ struct QueryService::CachedEvaluator {
 
 namespace {
 
-// Normalized before the dispatcher thread (a later member) can observe it.
+// Normalized before the dispatcher threads (started last) can observe it.
 QueryServiceOptions Validated(QueryServiceOptions options) {
   if (options.max_batch == 0) options.max_batch = 1;
   return options;
 }
+
+// Evaluators beyond this many are evicted, least recently used first,
+// unless checked out. They hold per-shard engines sized by their last
+// walk, so the cap bounds memory, not correctness.
+constexpr size_t kMaxCachedEvaluators = 4;
 
 }  // namespace
 
@@ -67,8 +75,14 @@ QueryService::QueryService(const xml::Tree* tree,
           hype::TransitionPlaneStore::Options{
               .capacity = options_.cache_capacity})),
       pool_(options_.num_threads),
-      cache_(options_.view, {.capacity = options_.cache_capacity}),
-      dispatcher_([this] { DispatcherLoop(); }) {}
+      cache_(options_.view, {.capacity = options_.cache_capacity}) {
+  // Every dispatcher starts awake (free) and parks on its first look at
+  // the empty queues.
+  free_ = pool_.num_threads();
+  for (int d = 0; d < pool_.num_threads(); ++d) {
+    dispatchers_.emplace_back([this] { DispatcherLoop(); });
+  }
+}
 
 StatusOr<std::unique_ptr<QueryService>> QueryService::Open(
     xml::Tree initial, QueryServiceOptions options) {
@@ -100,12 +114,16 @@ void QueryService::Shutdown() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
     // Notify UNDER the lock: an unlocked notify could touch the condition
-    // variable after a racing destructor finished tearing it down.
-    cv_.notify_all();
+    // variables after a racing destructor finished tearing them down. A
+    // dispatcher that is not parked sees stop_ before it would park.
+    for (Parker* parker : parked_) parker->cv.notify_one();
+    hold_cv_.notify_all();
   }
-  // First caller joins; concurrent callers block here until the join
-  // completes, so Shutdown() never returns with the dispatcher live.
-  std::call_once(join_once_, [this] { dispatcher_.join(); });
+  // First caller joins; concurrent callers block here until the joins
+  // complete, so Shutdown() never returns with a dispatcher live.
+  std::call_once(join_once_, [this] {
+    for (std::thread& dispatcher : dispatchers_) dispatcher.join();
+  });
 }
 
 std::future<QueryService::Answer> QueryService::Submit(
@@ -160,8 +178,14 @@ std::future<QueryService::Answer> QueryService::Submit(
     pending_.push_back(std::move(p));
     // Under the lock for the same lifetime reason as in Shutdown: after we
     // release mu_, a racing Shutdown/destructor may run to completion, and
-    // cv_ must not be touched past that point.
-    cv_.notify_all();
+    // the condition variables must not be touched past that point. A
+    // holder only needs waking once its batch is full; with a write
+    // pending no batch may start, so waking a dispatcher is pointless.
+    if (holding_) {
+      if (pending_.size() >= options_.max_batch) hold_cv_.notify_one();
+    } else if (writes_.empty() && !writing_) {
+      WakeOneIfNoneFree();
+    }
   }
   return result;
 }
@@ -184,7 +208,13 @@ Status QueryService::Apply(xml::TreeDelta delta) {
       return Status::FailedPrecondition("query service is shutting down");
     }
     writes_.push_back(std::move(w));
-    cv_.notify_all();
+    // A holder stops holding so the write goes first; with batches in
+    // flight, the last one to finish applies the write.
+    if (holding_) {
+      hold_cv_.notify_one();
+    } else if (active_batches_ == 0 && !writing_) {
+      WakeOneIfNoneFree();
+    }
   }
   return result.get();
 }
@@ -212,31 +242,77 @@ Status QueryService::ApplyWrite(const xml::TreeDelta& delta) {
 }
 
 QueryServiceStats QueryService::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  QueryServiceStats snapshot;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    snapshot = stats_;
+  }
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  snapshot.cache = cache_.stats();
+  return snapshot;
+}
+
+void QueryService::Park(std::unique_lock<std::mutex>& lock, Parker& self) {
+  --free_;
+  parked_.push_back(&self);
+  self.cv.wait(lock, [&] { return self.woken || stop_; });
+  if (self.woken) {
+    self.woken = false;  // the waker unstacked it and counted it free
+  } else {
+    parked_.erase(std::find(parked_.begin(), parked_.end(), &self));
+    ++free_;
+  }
+}
+
+void QueryService::WakeOneIfNoneFree() {
+  // A free dispatcher -- awake, or woken and on its way -- looks at the
+  // queues before it parks, so it will find the work; waking another would
+  // only split a burst across dispatchers that each pay a wake-up.
+  // The most recently parked dispatcher goes first: its caches and malloc
+  // arena are the warmest, and a service serving one client at a time
+  // keeps running on the same thread.
+  if (free_ > 0 || parked_.empty()) return;
+  Parker* parker = parked_.back();
+  parked_.pop_back();
+  parker->woken = true;
+  ++free_;
+  parker->cv.notify_one();
 }
 
 void QueryService::DispatcherLoop() {
+  Parker self;  // in parked_ only while this thread waits on it
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    cv_.wait(lock,
-             [this] { return stop_ || !pending_.empty() || !writes_.empty(); });
-    // Durable writes drain ahead of query batches: a delta admitted before
-    // a query was admitted publishes before that query evaluates, so
-    // Apply-then-Submit from one client always sees its own write.
-    while (!writes_.empty()) {
-      PendingWrite write = std::move(writes_.front());
-      writes_.pop_front();
-      lock.unlock();
-      Status applied = ApplyWrite(write.delta);
-      lock.lock();
-      if (applied.ok()) ++stats_.writes_applied;
-      write.promise.set_value(std::move(applied));
-    }
-    if (pending_.empty()) {
-      if (stop_) return;
+    // Durable writes are exclusive and drain ahead of query batches: a
+    // write starts once no batch is in flight, and no batch starts while
+    // one is pending. So a delta admitted before a query was admitted
+    // publishes before that query evaluates, and Apply-then-Submit from
+    // one client always sees its own write.
+    if (!writes_.empty() && !writing_ && active_batches_ == 0) {
+      writing_ = true;
+      --free_;
+      while (!writes_.empty()) {
+        PendingWrite write = std::move(writes_.front());
+        writes_.pop_front();
+        lock.unlock();
+        Status applied = ApplyWrite(write.delta);
+        lock.lock();
+        if (applied.ok()) ++stats_.writes_applied;
+        write.promise.set_value(std::move(applied));
+      }
+      writing_ = false;
+      ++free_;
       continue;
     }
+    if (pending_.empty() || !writes_.empty() || writing_ || holding_) {
+      // Nothing this dispatcher may start. Work that is blocked (behind a
+      // write, a batch in flight, or a holder) always has a dispatcher
+      // that comes back for it, so on stop this one can exit.
+      if (stop_) return;
+      Park(lock, self);
+      continue;
+    }
+    holding_ = true;
 #ifdef SMOQE_FAULT_INJECTION
     if (FaultInjector::armed()) {
       // Injected dispatcher stall (the aged-batch regression + chaos
@@ -249,19 +325,19 @@ void QueryService::DispatcherLoop() {
     }
 #endif
     // Admission: hold the batch open until it is full or its oldest entry
-    // has aged out (stop closes it immediately -- drain fast). With the
-    // default max_delay of 0 every entry has aged out already, so the batch
-    // closes at once with whatever is pending (work-conserving). The age is
-    // re-checked on EVERY wakeup: cv_ wakeups caused by further Submits
-    // (or spuriously) land back here, and without the explicit now() check
-    // an already-aged batch would re-enter wait_until instead of closing
-    // -- each extra pass is one avoidable syscall, and the batch's age
-    // bound silently stops being the code's loop invariant.
+    // has aged out (stop closes it immediately -- drain fast; a write
+    // closes it without a batch). With the default max_delay of 0 every
+    // entry has aged out already, so the batch closes at once with
+    // whatever is pending (work-conserving). The age is re-checked on
+    // EVERY wakeup: without the explicit now() check an already-aged batch
+    // woken spuriously would re-enter wait_until instead of closing.
     const auto deadline = pending_.front().enqueued + options_.max_delay;
-    while (!stop_ && pending_.size() < options_.max_batch &&
+    while (!stop_ && writes_.empty() && pending_.size() < options_.max_batch &&
            std::chrono::steady_clock::now() < deadline) {
-      cv_.wait_until(lock, deadline);
+      hold_cv_.wait_until(lock, deadline);
     }
+    holding_ = false;
+    if (!writes_.empty()) continue;
     std::vector<Pending> batch;
     const size_t take = std::min(pending_.size(), options_.max_batch);
     batch.reserve(take);
@@ -277,60 +353,99 @@ void QueryService::DispatcherLoop() {
     }
     stats_.max_batch_seen =
         std::max(stats_.max_batch_seen, static_cast<int64_t>(batch.size()));
+    // The fan-out gate: the pool only for a batch alone in an otherwise
+    // idle service.
+    const bool pooled = active_batches_ == 0 && pending_.empty();
+    if (pooled) ++stats_.fan_outs;
+    ++active_batches_;
+    stats_.max_active_batches = std::max(
+        stats_.max_active_batches, static_cast<int64_t>(active_batches_));
+    --free_;
+    if (!pending_.empty()) WakeOneIfNoneFree();
     lock.unlock();
-    ProcessBatch(std::move(batch));
+    ProcessBatch(std::move(batch), pooled);
     lock.lock();
+    --active_batches_;
+    ++free_;
   }
 }
 
-QueryService::CachedEvaluator& QueryService::EvaluatorFor(
+QueryService::CachedEvaluator* QueryService::CheckOutEvaluator(
     std::vector<std::shared_ptr<const automata::Mfa>> sorted_mfas,
     hype::TransitionPlaneStore* store,
-    std::shared_ptr<policy::RoleCatalog::Entry> pin, bool* reused) {
+    std::shared_ptr<policy::RoleCatalog::Entry> pin, bool pooled,
+    bool* reused) {
+  std::unique_lock<std::mutex> lock(evaluators_mu_);
   ++evaluator_clock_;
-  *reused = false;
   for (auto& entry : evaluators_) {
-    if (entry->store != store) continue;
-    if (entry->mfas.size() != sorted_mfas.size()) continue;
-    bool equal = true;
-    for (size_t k = 0; k < sorted_mfas.size(); ++k) {
-      if (entry->mfas[k].get() != sorted_mfas[k].get()) {
-        equal = false;
-        break;
-      }
+    if (entry->checked_out || entry->store != store ||
+        entry->pooled != pooled || entry->mfas != sorted_mfas) {
+      continue;
     }
-    if (equal) {
-      entry->last_used = evaluator_clock_;
-      *reused = true;
-      return *entry;
-    }
+    entry->checked_out = true;
+    entry->last_used = evaluator_clock_;
+    *reused = true;
+    return entry.get();
   }
-  // Miss: evict the least recently used beyond a small working set. The
-  // evaluators hold per-shard engines, so the cap bounds memory, not
-  // correctness.
-  constexpr size_t kMaxCachedEvaluators = 4;
-  if (evaluators_.size() >= kMaxCachedEvaluators) {
-    size_t lru = 0;
-    for (size_t e = 1; e < evaluators_.size(); ++e) {
-      if (evaluators_[e]->last_used < evaluators_[lru]->last_used) lru = e;
-    }
-    evaluators_.erase(evaluators_.begin() + lru);
-  }
+  *reused = false;
+  const int64_t clock = evaluator_clock_;
+  // Miss: make room first, so the entries kept idle plus the new one stay
+  // within the cap. Evicted entries are destroyed, and the new one is
+  // built, outside the lock, so other dispatchers' check-outs do not wait
+  // on either.
+  std::vector<std::unique_ptr<CachedEvaluator>> evicted =
+      EvictIdleEvaluators(kMaxCachedEvaluators - 1);
+  lock.unlock();
+  evicted.clear();
+  // Without the pool, a default `num_shards` splits the tree into fewer
+  // units: an inline walk has no helpers to feed, and every unit costs it
+  // a probe and a subtree walk.
   ShardedOptions sharded_options;
   sharded_options.index = options_.index;
   sharded_options.plane = plane_;
   sharded_options.plane_store = store;
-  sharded_options.pool = &pool_;
+  sharded_options.pool = pooled ? &pool_ : nullptr;
   sharded_options.num_shards = options_.num_shards;
-  evaluators_.push_back(std::make_unique<CachedEvaluator>(
-      *tree_, std::move(sorted_mfas), sharded_options));
-  evaluators_.back()->last_used = evaluator_clock_;
-  evaluators_.back()->store = store;
-  evaluators_.back()->pin = std::move(pin);
-  return *evaluators_.back();
+  auto built = std::make_unique<CachedEvaluator>(
+      *tree_, std::move(sorted_mfas), sharded_options);
+  built->last_used = clock;
+  built->store = store;
+  built->pooled = pooled;
+  built->checked_out = true;
+  built->pin = std::move(pin);
+  CachedEvaluator* entry = built.get();
+  lock.lock();
+  evaluators_.push_back(std::move(built));
+  return entry;
 }
 
-void QueryService::ProcessBatch(std::vector<Pending> batch) {
+void QueryService::ReturnEvaluator(CachedEvaluator* entry) {
+  std::vector<std::unique_ptr<CachedEvaluator>> evicted;
+  std::lock_guard<std::mutex> lock(evaluators_mu_);
+  entry->checked_out = false;
+  // Entries checked out at a miss could not make room then.
+  evicted = EvictIdleEvaluators(kMaxCachedEvaluators);
+}  // `evicted` is destroyed after the lock is released
+
+std::vector<std::unique_ptr<QueryService::CachedEvaluator>>
+QueryService::EvictIdleEvaluators(size_t keep) {
+  std::vector<std::unique_ptr<CachedEvaluator>> evicted;
+  while (evaluators_.size() > keep) {
+    auto lru = evaluators_.end();
+    for (auto it = evaluators_.begin(); it != evaluators_.end(); ++it) {
+      if ((*it)->checked_out) continue;
+      if (lru == evaluators_.end() || (*it)->last_used < (*lru)->last_used) {
+        lru = it;
+      }
+    }
+    if (lru == evaluators_.end()) break;  // every entry is checked out
+    evicted.push_back(std::move(*lru));
+    evaluators_.erase(lru);
+  }
+  return evicted;
+}
+
+void QueryService::ProcessBatch(std::vector<Pending> batch, bool pooled) {
   const auto now = std::chrono::steady_clock::now();
 
   // Every batch member ends up in `resolutions` with exactly one terminal
@@ -406,8 +521,10 @@ void QueryService::ProcessBatch(std::vector<Pending> batch) {
         continue;
       }
     }
-    auto compiled = entry != nullptr ? entry->Compile(batch[i].text)
-                                     : cache_.Get(batch[i].text);
+    auto compiled = entry != nullptr ? entry->Compile(batch[i].text) : [&] {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      return cache_.Get(batch[i].text);
+    }();
     if (!compiled.ok()) {
       ++failed;
       resolve(i, compiled.status());
@@ -481,7 +598,7 @@ void QueryService::ProcessBatch(std::vector<Pending> batch) {
       // its SubmitOptions::max_retries budget (kUnavailable past it), and
       // the group backs off exponentially before re-evaluating -- a stream
       // of expiring/cancelling siblings can delay a query but can no longer
-      // pin it in the dispatcher unboundedly.
+      // pin it unboundedly. The backoff stalls only this dispatcher.
       for (size_t s : group.slots) {
         for (size_t i : waiters[s]) {
           if (!live[i]) continue;
@@ -555,16 +672,17 @@ void QueryService::ProcessBatch(std::vector<Pending> batch) {
     for (size_t k : order) sorted.push_back(mfas[slots[k]]);
 
     bool reused = false;
-    CachedEvaluator& cached =
-        EvaluatorFor(std::move(sorted), store, group.entry, &reused);
+    CachedEvaluator* cached = CheckOutEvaluator(std::move(sorted), store,
+                                                group.entry, pooled, &reused);
     if (first_round) {
       evaluator_reuses_batch += reused ? 1 : 0;
       first_round = false;
     }
     std::vector<std::vector<xml::NodeId>> sorted_answers =
-        control.enabled() ? cached.eval.EvalAll(tree_->root(), control)
-                          : cached.eval.EvalAll(tree_->root());
-    const Status& st = cached.eval.last_status();
+        control.enabled() ? cached->eval.EvalAll(tree_->root(), control)
+                          : cached->eval.EvalAll(tree_->root());
+    const Status st = cached->eval.last_status();
+    ReturnEvaluator(cached);
 
     if (st.ok()) {
       std::vector<std::vector<xml::NodeId>> answers(slots.size());
@@ -648,7 +766,6 @@ void QueryService::ProcessBatch(std::vector<Pending> batch) {
     stats_.role_denied_empty += role_denied_empty;
     stats_.queries_retried += retried;
     stats_.retries_exhausted += retries_exhausted;
-    stats_.cache = cache_.stats();
   }
 
   for (auto& [i, answer] : resolutions) {

@@ -4,22 +4,37 @@
 // (rewrite::RewriteCache -- view-rewriting or plain mode), the per-query
 // transition-plane store (hype::TransitionPlaneStore -- compiled evaluation
 // state shared across batches and shards), and the thread pool. Any number
-// of client threads Submit query text and get a future; internally a
-// dispatcher thread coalesces submissions into ADMISSION BATCHES, compiles
-// each batch through the cache (duplicate texts in a batch are evaluated
-// once and fanned out), and evaluates it as one sharded shared pass
-// (exec::ShardedBatchEvaluator) -- on the dispatcher thread while the batch
-// is small, over the pool once its measured work pays for the fan-out.
+// of client threads Submit query text and get a future; internally a set of
+// DISPATCHER threads, one per pool thread, coalesce submissions into
+// ADMISSION BATCHES. The dispatcher that closes a batch also evaluates it:
+// it compiles the batch through the cache (duplicate texts in a batch are
+// evaluated once and fanned out) and runs it as one sharded shared pass
+// (exec::ShardedBatchEvaluator). Batches from different clients -- and so
+// different role groups -- evaluate concurrently on different dispatchers.
 // Answers are bit-identical to a solo HypeEvaluator run of each query,
 // enforced by the randomized multi-client stress suite
 // (tests/exec_service_test.cc).
 //
-// Admission is WORK-CONSERVING by default: as soon as the dispatcher is
-// free it closes a batch with whatever is pending (up to `max_batch`), so an
+// Admission is WORK-CONSERVING by default: as soon as a dispatcher is free
+// it closes a batch with whatever is pending (up to `max_batch`), so an
 // idle service never holds a lone query back. Batching still happens under
-// load -- queries that arrive while a batch evaluates form the next one. A
-// positive `max_delay` adds an explicit hold: a batch then closes when it is
-// full or when its oldest entry has waited `max_delay`.
+// load -- queries that arrive while every dispatcher is busy form the next
+// batch. A positive `max_delay` adds an explicit hold: a batch then closes
+// when it is full or when its oldest entry has waited `max_delay`.
+//
+// Two rules keep low load cheap and tail latency flat:
+//  * WAKE RULE. An event that brings work (a Submit, an Apply, a batch
+//    closed with work still pending) wakes at most one parked dispatcher,
+//    and only when no dispatcher is free -- awake and not evaluating,
+//    counting one already woken. A burst from one client therefore lands
+//    on the dispatcher that is already awake instead of paying a wake-up
+//    per query. The most recently parked dispatcher is woken first, so a
+//    service serving one query at a time stays on one warm thread.
+//  * FAN-OUT GATE. A batch may hand work to the pool only when it is the
+//    service's only batch in flight and nothing is pending; otherwise it
+//    runs inline on its dispatcher. Concurrent batches whose helpers queued
+//    behind each other in the pool would stretch every one of them, and
+//    inline batches never build helper evaluators.
 //
 // Multi-tenant mode (QueryServiceOptions::catalog): a Submit carrying a
 // policy::RoleId compiles through the role's catalog partition and is
@@ -27,11 +42,15 @@
 // transition planes mean no role ever observes (or warms) another's compiled
 // state. See policy/role_catalog.h.
 //
-// Threading model: clients touch only the pending queue (one mutex);
-// the dispatcher alone touches the cache and the evaluators, so neither
-// needs locking; a pass that fans out runs its helpers on the pool with
-// per-thread engine state. Shutdown drains: every query submitted before the destructor runs
-// is answered.
+// Threading model: clients touch only the pending queues (`mu_`). The
+// service-level RewriteCache is not thread-safe and sits behind its own
+// mutex; the catalog and the plane stores are thread-safe. Sharded
+// evaluators are CHECKED OUT of the evaluator cache for one evaluation
+// round, so no two dispatchers ever drive the same one. A durable write is
+// exclusive: it starts only when no batch is in flight, and no batch starts
+// while a write is pending, so the tree/plane/plane-store swap never races
+// an evaluation. Shutdown drains: every query submitted before the
+// destructor runs is answered.
 
 #ifndef SMOQE_EXEC_QUERY_SERVICE_H_
 #define SMOQE_EXEC_QUERY_SERVICE_H_
@@ -86,18 +105,20 @@ struct QueryServiceOptions {
   /// evaluator it ever creates).
   const xml::DocPlane* plane = nullptr;
 
-  /// Evaluation pool width; 0 = hardware concurrency.
+  /// Evaluation pool width, which is also the number of dispatcher
+  /// threads; 0 = hardware concurrency.
   int num_threads = 0;
 
   /// Unit-split target per pass (ShardedOptions::num_shards); 0 = twice
-  /// the pool width.
+  /// the pool width for a batch the fan-out gate admits to the pool, and
+  /// ShardedOptions' pool-less default for a batch that runs inline.
   int num_shards = 0;
 
   /// A batch holds at most this many queries (0 is clamped to 1).
   size_t max_batch = 16;
 
-  /// Admission hold. 0 (the default) is work-conserving: the dispatcher
-  /// closes a batch with whatever is pending the moment it is free. A
+  /// Admission hold. 0 (the default) is work-conserving: a free dispatcher
+  /// closes a batch with whatever is pending the moment it sees it. A
   /// positive value holds a batch open until it is full or its oldest
   /// query has waited this long -- larger batches, at the price of up to
   /// this much added latency per batch.
@@ -161,7 +182,7 @@ struct SubmitOptions {
   /// aborts the shared pass, the survivors retry (with exponential backoff)
   /// and burn one retry each. Past the bound the query resolves
   /// kUnavailable instead of re-evaluating -- a pathological batch mix can
-  /// no longer pin a query in the dispatcher indefinitely. The default
+  /// no longer pin a query on its dispatcher indefinitely. The default
   /// covers the worst case of a default-sized batch (every sibling aborts
   /// once); 0 = never retry.
   int max_retries = 16;
@@ -177,10 +198,17 @@ struct QueryServiceStats {
   int64_t queries_failed = 0;    // parse/rewrite errors
   int64_t batches = 0;
   int64_t batches_full = 0;  // admission closed by reaching max_batch
-  // Admission closed before reaching max_batch: the dispatcher was free
+  // Admission closed before reaching max_batch: a dispatcher was free
   // (max_delay 0), the hold expired, or shutdown is draining.
   int64_t batches_aged = 0;
   int64_t max_batch_seen = 0;
+  // Batches the fan-out gate gave the pool (alone in flight, nothing
+  // pending). Whether such a batch actually handed work to helpers is the
+  // sharded evaluator's own budget decision.
+  int64_t fan_outs = 0;
+  // Peak number of batches evaluating at once (at most the dispatcher
+  // count).
+  int64_t max_active_batches = 0;
   int64_t coalesced_duplicates = 0;  // same-MFA queries evaluated once
   // Role-partition groups served by a warm sharded evaluator (one count
   // per group per batch; every batch is a single group in single-tenant
@@ -226,12 +254,13 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Stops admission, drains, and joins the dispatcher. Idempotent and
+  /// Stops admission, drains, and joins every dispatcher. Idempotent and
   /// thread-safe: concurrent callers all block until the drain completes.
   /// A Submit racing Shutdown is either admitted into the drain (its
   /// future resolves to the query's answer) or fails fast with a status --
-  /// it never hangs on a future no dispatcher will fulfill. Must not be
-  /// called from a Submit callback or the dispatcher itself.
+  /// it never hangs on a future no dispatcher will fulfill. Pending writes
+  /// are applied before the drain completes. Must not be called from a
+  /// Submit callback or a dispatcher.
   void Shutdown();
 
   /// Thread-safe; callable from any number of client threads. The future
@@ -250,10 +279,12 @@ class QueryService {
   /// Durable write (Open-constructed services only): WAL-append + fsync the
   /// delta, publish it as the next epoch, and switch serving to the new
   /// document before returning OK -- queries admitted after Apply returns
-  /// evaluate against the new epoch. Thread-safe; writes are serialized
-  /// through the dispatcher ahead of query batches. kFailedPrecondition for
-  /// stale deltas (delta.from_version() != document_version()), for
-  /// non-durable services, and after a WAL failure wedged the store.
+  /// evaluate against the new epoch. Thread-safe. A dispatcher applies
+  /// writes one at a time, exclusively: once every batch in flight has
+  /// finished, and before any batch admitted after the write starts.
+  /// kFailedPrecondition for stale deltas (delta.from_version() !=
+  /// document_version()), for non-durable services, and after a WAL
+  /// failure wedged the store.
   Status Apply(xml::TreeDelta delta);
 
   /// The served document version: 0 for an in-memory service, the durable
@@ -281,7 +312,7 @@ class QueryService {
     int max_retries = 16;
   };
 
-  // A durable write waiting for the dispatcher. The promise resolves with
+  // A durable write waiting for a dispatcher. The promise resolves with
   // the store's verdict once the delta is fsync'd and published (or
   // rejected).
   struct PendingWrite {
@@ -290,10 +321,12 @@ class QueryService {
   };
 
   // A recently used sharded evaluator, keyed by its (pointer-sorted) MFA
-  // set. Steady-state traffic repeats query mixes; reusing the evaluator
-  // keeps every shard's transition tables warm and skips the per-batch
-  // probe/plan work. The entry owns the shared_ptrs so cached MFAs outlive
-  // any RewriteCache eviction. Dispatcher-thread only.
+  // set, its plane universe, and whether the pool is attached. Steady-state
+  // traffic repeats query mixes; reusing the evaluator keeps every shard's
+  // transition tables warm and skips the per-batch probe/plan work. The
+  // entry owns the shared_ptrs so cached MFAs outlive any RewriteCache
+  // eviction. A dispatcher checks an entry out for one evaluation round
+  // and returns it; eviction skips checked-out entries.
   struct CachedEvaluator;
 
   // Shared delegating constructor: exactly one of `tree` (borrowed,
@@ -302,25 +335,45 @@ class QueryService {
                std::unique_ptr<storage::DurableEpochStore> store,
                QueryServiceOptions options);
 
+  // A dispatcher's parking spot: woken only by name, most recent first.
+  struct Parker {
+    std::condition_variable cv;
+    bool woken = false;  // guarded by mu_
+  };
+
   void DispatcherLoop();
-  void ProcessBatch(std::vector<Pending> batch);
-  // Dispatcher-thread only: publishes one durable delta and, on success,
-  // swaps serving to the new epoch (tree/plane pointers, fresh plane store,
-  // evaluator cache cleared -- their universes referenced the old tree).
+  // Parks the calling dispatcher until a wake or stop (mu_ held).
+  void Park(std::unique_lock<std::mutex>& lock, Parker& self);
+  // The wake rule (mu_ held): wakes one parked dispatcher iff none is free.
+  void WakeOneIfNoneFree();
+  // `pooled`: the fan-out gate admitted this batch to the pool.
+  void ProcessBatch(std::vector<Pending> batch, bool pooled);
+  // Runs with no batch in flight (see the threading model): publishes one
+  // durable delta and, on success, swaps serving to the new epoch
+  // (tree/plane pointers, fresh plane store, evaluator cache cleared --
+  // their universes referenced the old tree).
   Status ApplyWrite(const xml::TreeDelta& delta);
+  // Checks out a cached evaluator for the key, building one on a miss.
   // `store` selects the plane universe (the service's own, or a role
   // partition's); `pin` keeps a role partition alive while its evaluator
   // is cached (null for service-level evaluators).
-  CachedEvaluator& EvaluatorFor(
+  CachedEvaluator* CheckOutEvaluator(
       std::vector<std::shared_ptr<const automata::Mfa>> sorted_mfas,
       hype::TransitionPlaneStore* store,
-      std::shared_ptr<policy::RoleCatalog::Entry> pin, bool* reused);
+      std::shared_ptr<policy::RoleCatalog::Entry> pin, bool pooled,
+      bool* reused);
+  void ReturnEvaluator(CachedEvaluator* entry);
+  // Removes least recently used entries that are not checked out until at
+  // most `keep` remain (evaluators_mu_ held); returns them so the caller
+  // destroys them after unlocking.
+  std::vector<std::unique_ptr<CachedEvaluator>> EvictIdleEvaluators(
+      size_t keep);
 
   QueryServiceOptions options_;
   // Durable mode: the store plus the epoch currently served; `epoch_` pins
-  // the tree/plane that `tree_`/`plane_` point into across Apply swaps
-  // (in-flight readers hold their own PlaneEpoch-free shard state only
-  // within ProcessBatch, which the dispatcher serializes against writes).
+  // the tree/plane that `tree_`/`plane_` point into across Apply swaps.
+  // Writes are exclusive with batches, so an evaluating dispatcher reads
+  // these without a lock.
   std::unique_ptr<storage::DurableEpochStore> store_;
   xml::PlaneEpoch epoch_;
   const xml::Tree* tree_;      // the served document (mode-independent)
@@ -333,19 +386,30 @@ class QueryService {
   // every durable epoch swap (planes intern against one tree).
   std::unique_ptr<hype::TransitionPlaneStore> plane_store_;
   common::ThreadPool pool_;
-  rewrite::RewriteCache cache_;  // dispatcher-thread only
+
+  mutable std::mutex cache_mu_;
+  rewrite::RewriteCache cache_;  // guarded by cache_mu_
+
+  std::mutex evaluators_mu_;
   std::vector<std::unique_ptr<CachedEvaluator>> evaluators_;  // LRU, small
   int64_t evaluator_clock_ = 0;
 
+  // Queues, dispatcher bookkeeping, and counters.
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable hold_cv_;  // the dispatcher holding a batch open
   std::deque<Pending> pending_;
   std::deque<PendingWrite> writes_;  // drained ahead of query batches
   QueryServiceStats stats_;
+  int free_ = 0;  // awake and not evaluating, counting woken ones
+  std::vector<Parker*> parked_;  // not yet woken; the last parked on top
+  int active_batches_ = 0;
+  bool writing_ = false;  // a dispatcher is applying writes
+  bool holding_ = false;  // a dispatcher holds a batch open (max_delay)
   bool stop_ = false;
   std::once_flag join_once_;  // exactly one Shutdown caller joins
 
-  std::thread dispatcher_;  // constructed last, joined first
+  // Started last (after every member above), joined first.
+  std::vector<std::thread> dispatchers_;
 };
 
 }  // namespace smoqe::exec

@@ -129,13 +129,16 @@ class ShardedBatchEvaluator {
   /// visits) took 0.12 ms fanned out over 8 pool tasks and 0.022 ms inline:
   /// a hand-off costs ~0.1 ms, the price of ~1,300 visits of inline
   /// traversal at the ~70 ns per visit measured there. Heavy passes also
-  /// run faster on a pool thread, whose malloc arena holds only evaluation
+  /// ran faster on a pool thread, whose malloc arena held only evaluation
   /// state: a whole-tree fallback pass of ~13,000 visits took a median
-  /// 4.0 ms inline on the service's dispatcher, whose arena also holds
-  /// every compiled query, and 3.2 ms on a pool thread (4.2 ms there too
-  /// once all threads share one arena). 2^12 visits (~0.3 ms inline) keeps
-  /// such passes off the caller; 2^14 kept them inline and raised
-  /// tenant_cold's p99 read latency by 12-23%. An engine visits each
+  /// 4.0 ms inline on the service's then single dispatcher, whose arena
+  /// also held every compiled query, and 3.2 ms on a pool thread (4.2 ms
+  /// there too once all threads share one arena). 2^12 visits (~0.3 ms
+  /// inline) keeps such passes off the caller; 2^14 kept them inline and
+  /// raised tenant_cold's p99 read latency by 12-23%. (The service now
+  /// attaches the pool only to a batch alone on an idle service; under load
+  /// every batch runs inline on its own dispatcher, so the budget governs
+  /// the low-load path.) An engine visits each
   /// element at most once, so a run whose elements x queries stay within
   /// the budget is always inline.
   static constexpr int64_t kFanOutBudget = int64_t{1} << 12;

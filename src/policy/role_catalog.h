@@ -24,8 +24,9 @@
 //
 // Thread-safety: the catalog itself is thread-safe. Entry::Compile locks the
 // entry's private mutex (RewriteCache is not thread-safe); Entry::planes()
-// is safe to share. exec::QueryService drives everything from its single
-// dispatcher thread, but tests and benches hit catalogs from many threads.
+// is safe to share. exec::QueryService calls Acquire and Entry::Compile from
+// all of its dispatcher threads at once, and tests and benches hit catalogs
+// from many threads.
 
 #ifndef SMOQE_POLICY_ROLE_CATALOG_H_
 #define SMOQE_POLICY_ROLE_CATALOG_H_

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -27,7 +28,9 @@
 #include "hype/hype.h"
 #include "hype/index.h"
 #include "rewrite/rewriter.h"
+#include "storage/fs.h"
 #include "view/view_def.h"
+#include "xml/tree_delta.h"
 #include "xpath/parser.h"
 
 namespace smoqe::exec {
@@ -569,6 +572,166 @@ TEST(QueryServiceTest, ExhaustedRetryBudgetResolvesUnavailable) {
   EXPECT_TRUE(saw_exhaustion)
       << "no attempt aborted mid-evaluation; exhaustion path never exercised";
 #endif
+}
+
+// ----------------------------------------------- parallel dispatchers --
+
+// A light query submitted while a heavy batch evaluates is served by
+// another dispatcher instead of queueing behind it. The heavy query is a
+// whole-tree filter pass (filtered at the context, so it cannot shard) over
+// a large document; the light one is dead at the root. The ordering is
+// structural, not a timing bound: with one dispatcher serving batches in
+// FIFO order the light future cannot resolve while the heavy batch is
+// still evaluating.
+TEST(QueryServiceTest, LightQueryOvertakesHeavyBatch) {
+  // Large through many visits per patient: the generator's patient serials
+  // overflow int past ~2,000 patients.
+  gen::HospitalParams params;
+  params.patients = 2000;
+  params.visits_min = 8;
+  params.visits_max = 10;
+  params.heart_disease_prob = 0.3;
+  params.seed = 113;
+  const xml::Tree tree = gen::GenerateHospital(params);
+  const std::string heavy_q =
+      "(department/patient)*"
+      "[visit/treatment/medication/diagnosis/text() = 'heart disease']/visit";
+  const std::string light_q = "missing_label/pname";
+  QueryService service(tree, {.num_threads = 2});
+  auto heavy = service.Submit(heavy_q);
+  while (service.stats().batches < 1) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  auto light = service.Submit(light_q);
+  auto light_answer = light.get();
+  EXPECT_EQ(heavy.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout)
+      << "the light query waited for the heavy batch";
+  auto heavy_answer = heavy.get();
+  ASSERT_TRUE(light_answer.ok());
+  ASSERT_TRUE(heavy_answer.ok());
+  EXPECT_EQ(light_answer.value(), SoloAnswer(tree, light_q));
+  EXPECT_EQ(heavy_answer.value(), SoloAnswer(tree, heavy_q));
+  const QueryServiceStats stats = service.stats();
+  // The heavy batch closed on an idle service, so the fan-out gate gave it
+  // the pool; the light one closed beside it and ran inline.
+  EXPECT_EQ(stats.fan_outs, 1);
+  EXPECT_EQ(stats.max_active_batches, 2);
+}
+
+// Durable writes stay exclusive while several dispatchers serve reads: one
+// writer Applies seeded relabel deltas while 8 clients Submit. Every answer
+// must be the solo answer at some published version no older than the last
+// write the client saw complete, the versions one client observes never go
+// backwards, and the writer's own read after each Apply sees that write.
+TEST(QueryServiceTest, DurableWritesStayConsistentUnderConcurrentReads) {
+  constexpr int kWrites = 24;
+  constexpr int kClients = 8;
+  constexpr int kReadsPerClient = 40;
+  const xml::Tree initial = Hospital(6, 127);
+  const std::vector<std::string> queries = {
+      "department/patient/pname",
+      "department/patient[visit]/pname",
+      "//diagnosis",
+      "//patient[visit/treatment/medication]",
+  };
+
+  // The delta stream and, per version, every query's solo answer. Each
+  // delta toggles one initial answer node between its label and a hidden
+  // variant, so every write changes some query's answer.
+  std::vector<xml::NodeId> targets;
+  for (const std::string& q : queries) {
+    for (xml::NodeId n : SoloAnswer(initial, q)) targets.push_back(n);
+  }
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  std::mt19937_64 rng(0xD0AB1E);
+  std::vector<xml::TreeDelta> deltas;
+  std::vector<std::vector<NodeVec>> expected;  // [version][query]
+  xml::Tree replay(initial);
+  for (int v = 0; v <= kWrites; ++v) {
+    expected.emplace_back();
+    for (const std::string& q : queries) {
+      expected.back().push_back(SoloAnswer(replay, q));
+    }
+    if (v == kWrites) break;
+    const xml::NodeId target = targets[rng() % targets.size()];
+    std::string label = replay.label_name(target);
+    const std::string kHidden = "_hidden";
+    if (label.size() > kHidden.size() &&
+        label.compare(label.size() - kHidden.size(), kHidden.size(),
+                      kHidden) == 0) {
+      label.resize(label.size() - kHidden.size());
+    } else {
+      label += kHidden;
+    }
+    xml::TreeDelta delta(static_cast<uint64_t>(v));
+    delta.AddRelabel(target, label);
+    ASSERT_TRUE(delta.ApplyTo(&replay).ok());
+    deltas.push_back(std::move(delta));
+  }
+
+  const std::string dir = ::testing::TempDir() + "smoqe_exec_durable_reads";
+  ASSERT_TRUE(storage::EnsureDir(dir).ok());
+  auto names = storage::ListDir(dir);
+  if (names.ok()) {
+    for (const std::string& f : names.value()) {
+      (void)storage::RemoveFile(dir + "/" + f);
+    }
+  }
+  QueryServiceOptions options;
+  options.num_threads = 4;
+  options.storage_dir = dir;
+  auto opened = QueryService::Open(xml::Tree(initial), options);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  QueryService& service = *opened.value();
+
+  std::atomic<int> published{0};  // writes whose Apply has returned
+  std::atomic<int> failures{0};
+  std::thread writer([&] {
+    for (int v = 0; v < kWrites; ++v) {
+      if (!service.Apply(deltas[v]).ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      published.store(v + 1, std::memory_order_release);
+      const size_t q = static_cast<size_t>(v) % queries.size();
+      auto own = service.Query(queries[q]);
+      if (!own.ok() || own.value() != expected[v + 1][q]) {
+        failures.fetch_add(1);  // Apply-then-Submit missed its own write
+      }
+    }
+  });
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      int seen = 0;  // the oldest version this client may still observe
+      for (int i = 0; i < kReadsPerClient; ++i) {
+        const size_t q = static_cast<size_t>(c + i) % queries.size();
+        const int floor =
+            std::max(seen, published.load(std::memory_order_acquire));
+        auto answer = service.Query(queries[q]);
+        if (!answer.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        int version = floor;
+        while (version <= kWrites && answer.value() != expected[version][q]) {
+          ++version;
+        }
+        if (version > kWrites) {
+          failures.fetch_add(1);  // no version at or after `floor` matches
+          continue;
+        }
+        seen = version;
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(service.document_version(), static_cast<uint64_t>(kWrites));
+  EXPECT_EQ(service.stats().writes_applied, kWrites);
 }
 
 // A negative max_retries is clamped to zero at Submit, not trusted.
