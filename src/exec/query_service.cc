@@ -489,6 +489,7 @@ void QueryService::ProcessBatch(std::vector<Pending> batch, bool pooled) {
   // once. Two roles never share an MFA object, so coalescing cannot cross
   // roles. The shared_ptrs keep evicted entries alive through the pass.
   std::vector<std::shared_ptr<const automata::Mfa>> mfas;
+  std::vector<std::shared_ptr<hype::TransitionPlane>> planes;  // per MFA
   std::vector<std::vector<size_t>> waiters;  // per MFA: batch indices
   // Per MFA slot: the role partition it compiled through (null = service).
   std::vector<std::shared_ptr<policy::RoleCatalog::Entry>> slot_entry;
@@ -536,10 +537,13 @@ void QueryService::ProcessBatch(std::vector<Pending> batch, bool pooled) {
       // Register the query's transition plane now -- in the partition that
       // compiled it, seeded with the cache's warm CSR mirror and pinning
       // the MFA to the entry: every evaluator this batch (or a later one)
-      // creates for the MFA shares it.
+      // creates for the MFA shares it. Holding the plane for the batch
+      // keeps the store's capacity bound from evicting it (and with it
+      // the keep_alive) before this batch's evaluator looks it up.
       hype::TransitionPlaneStore& store =
           entry != nullptr ? entry->planes() : *plane_store_;
-      store.For(mfa.get(), std::move(compiled.value().compiled), mfa);
+      planes.push_back(
+          store.For(mfa.get(), std::move(compiled.value().compiled), mfa));
       mfas.push_back(std::move(mfa));
       waiters.emplace_back();
       slot_entry.push_back(std::move(entry));

@@ -1,5 +1,6 @@
 #include "gen/hospital_generator.h"
 
+#include <cstdint>
 #include <random>
 #include <string>
 
@@ -89,13 +90,22 @@ class Generator {
     for (int v = 0; v < visits; ++v) AddVisit(patient);
     if (ancestor_budget > 0 && Flip(p_.parent_prob)) {
       xml::NodeId par = tree_.AddElement(patient, "parent");
-      AddPatient(par, serial * 101 + 1, ancestor_budget - 1,
+      AddPatient(par, NextSerial(serial, 101, 1), ancestor_budget - 1,
                  /*allow_sibling=*/false);
     }
     if (allow_sibling && Flip(p_.sibling_prob)) {
       xml::NodeId sib = tree_.AddElement(patient, "sibling");
-      AddPatient(sib, serial * 103 + 2, 0, /*allow_sibling=*/false);
+      AddPatient(sib, NextSerial(serial, 103, 2), 0, /*allow_sibling=*/false);
     }
+  }
+
+  // A relative's serial: serial * mul + add, wrapped to 32 bits. Ancestor
+  // chains in documents of more than ~2,083 patients pass INT32_MAX. The
+  // wrap is done in unsigned arithmetic, so it is defined behaviour, and it
+  // gives the same serials (negative past the wrap), hence the same
+  // document text, that earlier builds emitted.
+  static int32_t NextSerial(int32_t serial, uint32_t mul, uint32_t add) {
+    return static_cast<int32_t>(static_cast<uint32_t>(serial) * mul + add);
   }
 
   const HospitalParams& p_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
 #include "common/fault_injection.h"
 #include "common/hashing.h"
@@ -618,11 +619,13 @@ int64_t TransitionPlane::ApproxBytes() const {
   auto vec_bytes = [](const auto& v) {
     return static_cast<int64_t>(v.capacity() * sizeof(v[0]));
   };
-  int64_t bytes = 0;
+  // Whole chunks are allocated up front, so count their capacity; the
+  // per-element terms below add only what the used elements own.
+  int64_t bytes = configs_.capacity() * int64_t{sizeof(Config)} +
+                  aux_.capacity() * int64_t{sizeof(TransAux)};
   const int32_t num_configs = configs_.size();
   for (int32_t id = 0; id < num_configs; ++id) {
     const Config& c = configs_[id];
-    bytes += sizeof(Config);
     bytes += vec_bytes(c.mstates) + vec_bytes(c.seeds) + vec_bytes(c.freq) +
              vec_bytes(c.finals) + vec_bytes(c.ftrans) + vec_bytes(c.ops) +
              vec_bytes(c.operand_pos) + vec_bytes(c.annotated) +
@@ -638,8 +641,7 @@ int64_t TransitionPlane::ApproxBytes() const {
   const int32_t num_aux = aux_.size();
   for (int32_t id = 0; id < num_aux; ++id) {
     const TransAux& a = aux_[id];
-    bytes +=
-        sizeof(TransAux) + vec_bytes(a.label_edges) + vec_bytes(a.fold_pairs);
+    bytes += vec_bytes(a.label_edges) + vec_bytes(a.fold_pairs);
   }
   bytes += static_cast<int64_t>(eff_nodes_.size() * sizeof(Config::EffNode));
   // Hash-table overhead, counted coarsely per entry.
@@ -653,32 +655,48 @@ std::shared_ptr<TransitionPlane> TransitionPlaneStore::For(
     const automata::Mfa* mfa,
     std::shared_ptr<const automata::CompiledMfa> compiled,
     std::shared_ptr<const automata::Mfa> keep_alive) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Entry& entry = planes_[mfa];
-  entry.last_used = ++clock_;
-  if (entry.keep_alive == nullptr) entry.keep_alive = std::move(keep_alive);
-  if (entry.plane == nullptr) {
-    entry.plane = std::make_shared<TransitionPlane>(
-        tree_, *mfa, std::move(compiled), index_);
-    // Soft-evict beyond capacity: only planes no engine references anymore
-    // (use_count 1 = ours, and nobody can acquire a copy without this
-    // mutex), least recently used first. In-use planes are never dropped,
-    // so the cap bounds retained memory, not correctness.
-    while (options_.capacity > 0 && planes_.size() > options_.capacity) {
-      auto victim = planes_.end();
-      for (auto it = planes_.begin(); it != planes_.end(); ++it) {
-        if (it->first == mfa || it->second.plane.use_count() != 1) continue;
-        if (victim == planes_.end() ||
-            it->second.last_used < victim->second.last_used) {
-          victim = it;
-        }
-      }
-      if (victim == planes_.end()) break;  // everything is in use
-      planes_.erase(victim);
-      ++evictions_;
+  // Declared before the lock, so evicted planes and a plane that lost a
+  // creation race are destroyed after it is released.
+  std::vector<Entry> evicted;
+  std::shared_ptr<TransitionPlane> built;
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = planes_.find(mfa);
+  if (it == planes_.end()) {
+    lock.unlock();
+    built = std::make_shared<TransitionPlane>(tree_, *mfa, std::move(compiled),
+                                              index_);
+    lock.lock();
+    bool inserted;
+    std::tie(it, inserted) = planes_.try_emplace(mfa);
+    if (inserted) {
+      lru_.push_front(Entry{mfa, std::move(built), nullptr});
+      it->second = lru_.begin();
     }
   }
-  return entry.plane;
+  Lru::iterator pos = it->second;
+  lru_.splice(lru_.begin(), lru_, pos);
+  if (pos->keep_alive == nullptr) pos->keep_alive = std::move(keep_alive);
+  std::shared_ptr<TransitionPlane> plane = pos->plane;
+  EvictLocked(&evicted);
+  return plane;
+}
+
+void TransitionPlaneStore::EvictLocked(std::vector<Entry>* evicted) {
+  // Soft eviction from the cold end: only planes no engine references
+  // anymore (use_count 1 = ours, and nobody can acquire a copy without this
+  // mutex). The caller's own plane is pinned by the copy it is about to
+  // return. In-use planes are never dropped, so the cap bounds retained
+  // memory, not correctness; the walk skips only those.
+  if (options_.capacity == 0) return;
+  auto it = lru_.end();
+  while (lru_.size() > options_.capacity && it != lru_.begin()) {
+    --it;
+    if (it->plane.use_count() != 1) continue;
+    planes_.erase(it->mfa);
+    evicted->push_back(std::move(*it));
+    it = lru_.erase(it);
+    ++evictions_;
+  }
 }
 
 size_t TransitionPlaneStore::size() const {
@@ -691,7 +709,7 @@ PlaneStoreStats TransitionPlaneStore::stats() const {
   PlaneStoreStats out;
   out.planes = static_cast<int64_t>(planes_.size());
   out.evictions = evictions_;
-  for (const auto& [mfa, entry] : planes_) {
+  for (const Entry& entry : lru_) {
     out.configs_interned += entry.plane->configs_interned();
     out.approx_bytes += entry.plane->ApproxBytes();
   }

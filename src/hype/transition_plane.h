@@ -56,6 +56,7 @@
 #include <bit>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -91,16 +92,18 @@ struct SuccRef {
 namespace internal {
 
 /// Append-only store with stable element addresses and lock-free reads.
-/// Chunk c holds (256 << c) elements, so 23 chunks cover ~2 billion ids
-/// with no relocation ever. Append() may only be called under the owning
-/// plane's writer lock; an element must be fully written before its id is
-/// published to readers (via a release store or mutex release), after which
-/// relaxed chunk-pointer loads are ordered by that publication.
+/// Chunk c holds (8 << c) elements, so a plane that interns a handful of
+/// entries allocates one small chunk, growth doubles, and 29 chunks cover
+/// every id up to INT32_MAX with no relocation ever. Append() may only be
+/// called under the owning plane's writer lock; an element must be fully
+/// written before its id is published to readers (via a release store or
+/// mutex release), after which relaxed chunk-pointer loads are ordered by
+/// that publication.
 template <typename T>
 class ChunkedStore {
  public:
-  static constexpr int kBaseBits = 8;
-  static constexpr int kMaxChunks = 23;
+  static constexpr int kBaseBits = 3;
+  static constexpr int kMaxChunks = 29;
 
   ChunkedStore() {
     for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
@@ -117,6 +120,11 @@ class ChunkedStore {
   /// Elements appended so far (writer-side view).
   int32_t size() const { return size_; }
 
+  /// Elements the allocated chunks hold, used or not (writer-side view).
+  int64_t capacity() const {
+    return size_ == 0 ? 0 : int64_t{ChunkBase(ChunkOf(size_ - 1) + 1)};
+  }
+
   /// Appends a default-constructed element and returns its id; the caller
   /// fills it in place. Writer lock required.
   int32_t Append() {
@@ -129,13 +137,20 @@ class ChunkedStore {
     return id;
   }
 
- private:
-  static int ChunkOf(int32_t id) {
+  /// The chunk holding `id`.
+  static constexpr int ChunkOf(int32_t id) {
     uint32_t q = (static_cast<uint32_t>(id) >> kBaseBits) + 1;
     return 31 - std::countl_zero(q);
   }
-  static size_t ChunkCap(int c) { return size_t{1} << (kBaseBits + c); }
-  static uint32_t ChunkBase(int c) { return ((1u << c) - 1) << kBaseBits; }
+  /// The id of chunk c's first element.
+  static constexpr uint32_t ChunkBase(int c) {
+    return ((1u << c) - 1) << kBaseBits;
+  }
+
+ private:
+  static constexpr size_t ChunkCap(int c) {
+    return size_t{1} << (kBaseBits + c);
+  }
 
   T& Slot(int32_t id) const {
     int c = ChunkOf(id);
@@ -145,6 +160,11 @@ class ChunkedStore {
   mutable std::array<std::atomic<T*>, kMaxChunks> chunks_;
   int32_t size_ = 0;
 };
+
+// The chunk arithmetic does not depend on T.
+static_assert(ChunkedStore<char>::ChunkOf(INT32_MAX) ==
+                  ChunkedStore<char>::kMaxChunks - 1,
+              "every non-negative int32 id must map to a chunk");
 
 }  // namespace internal
 
@@ -262,9 +282,10 @@ class TransitionPlane {
     return total_interned_.load(std::memory_order_relaxed);
   }
 
-  /// Approximate resident bytes of the interned state (configurations with
-  /// their precomputed views and lazy transition rows, TransAux records,
-  /// memo tables). Takes the writer lock briefly; intended for stats
+  /// Approximate resident bytes of the interned state: the allocated
+  /// configuration and TransAux chunks (used or not), the configurations'
+  /// precomputed views and lazy transition rows, the TransAux edge lists,
+  /// and the memo tables. Takes the writer lock briefly; intended for stats
   /// endpoints and benches, not hot paths.
   int64_t ApproxBytes() const;
 
@@ -352,9 +373,12 @@ class TransitionPlane {
 
 /// A per-document registry of transition planes, keyed by MFA identity. One
 /// store is owned by each exec::QueryService (so successive batches and
-/// evaluator-cache rebuilds stay warm) and by each ShardedBatchEvaluator
-/// that was not handed one (so its probes, shard workers, and fallback share
-/// planes among themselves). Thread-safe.
+/// evaluator-cache rebuilds stay warm), by each policy::RoleCatalog
+/// partition, and by each ShardedBatchEvaluator that was not handed one (so
+/// its probes, shard workers, and fallback share planes among themselves).
+/// Thread-safe. A new plane is built outside the store's mutex, and planes
+/// evicted by the capacity bound are destroyed after it is released, so the
+/// lock covers only the hash lookup and the O(1) LRU bookkeeping.
 class TransitionPlaneStore {
  public:
   struct Options {
@@ -379,6 +403,8 @@ class TransitionPlaneStore {
   /// pins the MFA's lifetime to the entry -- pass it whenever the MFA is
   /// refcounted and may die before the store does (the QueryService does;
   /// callers whose MFAs are guaranteed to outlive the store may omit it).
+  /// Every call marks the plane most recently used. When two threads
+  /// create the same plane at once, both get the one installed first.
   std::shared_ptr<TransitionPlane> For(
       const automata::Mfa* mfa,
       std::shared_ptr<const automata::CompiledMfa> compiled = nullptr,
@@ -394,18 +420,24 @@ class TransitionPlaneStore {
 
  private:
   struct Entry {
+    const automata::Mfa* mfa;
     std::shared_ptr<TransitionPlane> plane;
     std::shared_ptr<const automata::Mfa> keep_alive;
-    int64_t last_used = 0;
   };
+  using Lru = std::list<Entry>;  // most recently used first
+
+  // Moves entries beyond capacity that nothing else references, coldest
+  // first, into *evicted (destroyed by the caller once mu_ is released).
+  // mu_ held.
+  void EvictLocked(std::vector<Entry>* evicted);
 
   const xml::Tree& tree_;
   const SubtreeLabelIndex* index_;
   Options options_;
   mutable std::mutex mu_;
-  int64_t clock_ = 0;
   int64_t evictions_ = 0;
-  std::unordered_map<const automata::Mfa*, Entry> planes_;
+  Lru lru_;
+  std::unordered_map<const automata::Mfa*, Lru::iterator> planes_;
 };
 
 }  // namespace smoqe::hype

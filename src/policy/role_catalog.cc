@@ -1,6 +1,7 @@
 #include "policy/role_catalog.h"
 
 #include <string>
+#include <tuple>
 #include <utility>
 
 namespace smoqe::policy {
@@ -15,7 +16,7 @@ RoleCatalog::Entry::Entry(CompiledRole compiled, const xml::Tree& tree,
       cache_(compiled_.view.get(),
              rewrite::RewriteCacheOptions{options.cache_capacity}),
       planes_(tree, index,
-              hype::TransitionPlaneStore::Options{options.plane_capacity}) {}
+              hype::TransitionPlaneStore::Options{options.cache_capacity}) {}
 
 StatusOr<rewrite::CompiledQuery> RoleCatalog::Entry::Compile(
     std::string_view query_text) {
@@ -35,43 +36,51 @@ RoleCatalog::RoleCatalog(const Policy& policy, const xml::Tree& tree,
 
 StatusOr<std::shared_ptr<RoleCatalog::Entry>> RoleCatalog::Acquire(
     RoleId role) {
-  // Cold compiles run under the catalog lock: role compilation is a
-  // milliseconds-scale DTD pass, and serializing it keeps "compile each role
-  // exactly once" trivially true under concurrent first touches.
-  std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<Entry> entry;
+  // Declared before the lock, so evicted partitions and a partition that
+  // lost a compile race are destroyed after it is released.
+  std::vector<std::shared_ptr<Entry>> evicted;
+  std::shared_ptr<Entry> built;
+  std::unique_lock<std::mutex> lock(mu_);
   auto it = entries_.find(role);
-  if (it != entries_.end()) {
-    ++stats_.hits;
-    entry = it->second;
-  } else {
+  bool inserted = false;
+  if (it == entries_.end()) {
+    // Cold: compile outside the lock (a milliseconds-scale DTD pass), then
+    // install unless a concurrent Acquire of the same role got there first
+    // -- the loser's partition is discarded and the Acquire counts as a hit.
+    lock.unlock();
     SMOQE_ASSIGN_OR_RETURN(CompiledRole compiled, CompileRole(policy_, role));
-    entry.reset(new Entry(std::move(compiled), tree_, index_, options_));
-    ++stats_.compiles;
-    entries_[role] = entry;
-  }
-  entry->last_used_ = ++clock_;
-
-  // Soft-evict beyond capacity: coldest partitions nobody references (map
-  // ref only; in-use entries are never dropped, so the cap bounds retained
-  // memory, not correctness -- residency can exceed the cap while clients
-  // pin entries, and converges back on any later Acquire). Same discipline
-  // as TransitionPlaneStore.
-  while (options_.role_capacity > 0 &&
-         entries_.size() > options_.role_capacity) {
-    auto victim = entries_.end();
-    for (auto jt = entries_.begin(); jt != entries_.end(); ++jt) {
-      if (jt->first == role || jt->second.use_count() != 1) continue;
-      if (victim == entries_.end() ||
-          jt->second->last_used_ < victim->second->last_used_) {
-        victim = jt;
-      }
+    built.reset(new Entry(std::move(compiled), tree_, index_, options_));
+    lock.lock();
+    std::tie(it, inserted) = entries_.try_emplace(role);
+    if (inserted) {
+      lru_.push_front(std::move(built));
+      it->second = lru_.begin();
     }
-    if (victim == entries_.end()) break;  // everything is in use
-    entries_.erase(victim);
+  }
+  ++(inserted ? stats_.compiles : stats_.hits);
+  lru_.splice(lru_.begin(), lru_, it->second);
+  std::shared_ptr<Entry> entry = *it->second;
+  EvictLocked(&evicted);
+  return entry;
+}
+
+void RoleCatalog::EvictLocked(std::vector<std::shared_ptr<Entry>>* evicted) {
+  // Soft eviction from the cold end: only partitions nobody references
+  // (use_count 1 = the list's). In-use entries are never dropped, so the cap
+  // bounds retained memory, not correctness -- residency can exceed the cap
+  // while clients pin entries, and converges back on any later Acquire. The
+  // caller's own entry is pinned by the copy it is about to return. Same
+  // discipline as TransitionPlaneStore.
+  if (options_.role_capacity == 0) return;
+  auto it = lru_.end();
+  while (lru_.size() > options_.role_capacity && it != lru_.begin()) {
+    --it;
+    if (it->use_count() != 1) continue;
+    entries_.erase((*it)->role());
+    evicted->push_back(std::move(*it));
+    it = lru_.erase(it);
     ++stats_.planes_evicted;
   }
-  return entry;
 }
 
 StatusOr<std::shared_ptr<RoleCatalog::Entry>> RoleCatalog::Acquire(
@@ -94,7 +103,7 @@ RoleCatalogStats RoleCatalog::stats() const {
 hype::PlaneStoreStats RoleCatalog::plane_stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   hype::PlaneStoreStats out;
-  for (const auto& [role, entry] : entries_) {
+  for (const std::shared_ptr<Entry>& entry : lru_) {
     hype::PlaneStoreStats s = entry->planes_.stats();
     out.planes += s.planes;
     out.evictions += s.evictions;

@@ -20,22 +20,31 @@
 // references are dropped (counted in stats().planes_evicted -- the gated
 // counter). Entries are handed out as shared_ptrs: an evaluator holding one
 // keeps a just-evicted role's planes alive until it lets go, the same
-// discipline TransitionPlaneStore applies to individual planes.
+// discipline TransitionPlaneStore applies to individual planes. Each
+// partition's plane store has the same capacity as its rewrite cache
+// (`cache_capacity`), so a resident role does not keep planes for MFAs its
+// cache has long since dropped.
 //
-// Thread-safety: the catalog itself is thread-safe. Entry::Compile locks the
+// Thread-safety: the catalog itself is thread-safe, and its mutex covers
+// only the hash lookup and the O(1) LRU bookkeeping. Roles compile outside
+// it (two threads racing on one cold role both compile; the first to
+// install wins and the other's partition is discarded), and evicted
+// partitions are destroyed after it is released. Entry::Compile locks the
 // entry's private mutex (RewriteCache is not thread-safe); Entry::planes()
-// is safe to share. exec::QueryService calls Acquire and Entry::Compile from
-// all of its dispatcher threads at once, and tests and benches hit catalogs
-// from many threads.
+// is safe to share. exec::QueryService calls Acquire and Entry::Compile
+// from all of its dispatcher threads at once, and tests and benches hit
+// catalogs from many threads.
 
 #ifndef SMOQE_POLICY_ROLE_CATALOG_H_
 #define SMOQE_POLICY_ROLE_CATALOG_H_
 
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/status.h"
 #include "hype/index.h"
@@ -52,16 +61,14 @@ struct RoleCatalogOptions {
   /// are never dropped.
   size_t role_capacity = 0;
 
-  /// Per-role RewriteCache capacity (compiled (role, query) rewritings).
+  /// Per-role RewriteCache and TransitionPlaneStore capacity (compiled
+  /// (role, query) rewritings, and the planes evaluating them).
   size_t cache_capacity = 256;
-
-  /// Per-role TransitionPlaneStore capacity (0 = unbounded).
-  size_t plane_capacity = 0;
 };
 
 struct RoleCatalogStats {
-  int64_t compiles = 0;        // cold Acquires (role + partition built)
-  int64_t hits = 0;            // warm Acquires
+  int64_t compiles = 0;        // partitions built and installed
+  int64_t hits = 0;            // Acquires served an installed partition
   int64_t planes_evicted = 0;  // cold-role partitions dropped by the LRU cap
   int64_t resident = 0;        // partitions currently held by the catalog
 };
@@ -97,7 +104,6 @@ class RoleCatalog {
     mutable std::mutex cache_mu_;
     rewrite::RewriteCache cache_;
     hype::TransitionPlaneStore planes_;
-    int64_t last_used_ = 0;
   };
 
   /// `policy`, `tree` and `index` (may be null) must outlive the catalog
@@ -127,10 +133,17 @@ class RoleCatalog {
   const hype::SubtreeLabelIndex* index_;
   RoleCatalogOptions options_;
 
+  using Lru = std::list<std::shared_ptr<Entry>>;  // most recently used first
+
+  // Moves entries beyond role_capacity that nothing else references,
+  // coldest first, into *evicted (destroyed by the caller once mu_ is
+  // released). mu_ held.
+  void EvictLocked(std::vector<std::shared_ptr<Entry>>* evicted);
+
   mutable std::mutex mu_;
-  int64_t clock_ = 0;
   RoleCatalogStats stats_;
-  std::unordered_map<RoleId, std::shared_ptr<Entry>> entries_;
+  Lru lru_;
+  std::unordered_map<RoleId, Lru::iterator> entries_;
 };
 
 }  // namespace smoqe::policy

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dtd/dtd_parser.h"
 #include "dtd/validator.h"
 #include "gen/fixtures.h"
 #include "gen/generic_generator.h"
 #include "gen/hospital_generator.h"
 #include "gen/query_generator.h"
+#include "storage/crc32c.h"
+#include "xml/writer.h"
 #include "xpath/parser.h"
 #include "xpath/printer.h"
 #include "xpath/x_fragment.h"
@@ -82,6 +86,30 @@ TEST(HospitalGeneratorTest, SelectivityKnobWorks) {
   };
   EXPECT_EQ(count_heart(none), 0);
   EXPECT_GT(count_heart(all), 300);
+}
+
+// Ancestor serials grow by *101 per generation, so chains in documents of
+// more than ~2,083 patients wrap past INT32_MAX. The wrap must be defined
+// behaviour (this runs under the ASan+UBSan job with halt_on_error) and must
+// keep the serials, hence the text, of large documents unchanged.
+TEST(HospitalGeneratorTest, SerialsWrapWithoutOverflow) {
+  HospitalParams params;
+  params.patients = 2100;
+  params.seed = 42;
+  xml::Tree t = GenerateHospital(params);
+  EXPECT_NE(xml::WriteXml(t).find("<pname>p--"), std::string::npos)
+      << "no ancestor chain reached the wrap";
+}
+
+TEST(HospitalGeneratorTest, LargeDocumentTextIsPinned) {
+  HospitalParams params;
+  params.patients = 6000;
+  params.seed = 42;
+  std::string xml = xml::WriteXml(GenerateHospital(params));
+  // Pinned from the generator before serials were computed in unsigned
+  // arithmetic: the fix must not change any generated byte.
+  EXPECT_EQ(xml.size(), 8690529u);
+  EXPECT_EQ(storage::Crc32c(xml), 0xa165f1e0u);
 }
 
 TEST(GenericGeneratorTest, ConformsToArbitraryDtd) {

@@ -7,7 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <deque>
+#include <memory>
+#include <mutex>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dtd/dtd_parser.h"
@@ -390,6 +396,112 @@ TEST(RoleCatalogTest, EvictsColdUnreferencedRolesBeyondCapacity) {
   EXPECT_EQ(catalog.Acquire(RoleId{0}).value().get(), held.value().get());
   ASSERT_TRUE(catalog.Acquire(RoleId{1}).ok());
   EXPECT_EQ(catalog.stats().compiles, 9);
+}
+
+// Concurrent Acquires from 8 threads over 64 roles through a 4-entry
+// catalog, with handles held across other threads' evictions. Roles compile
+// outside the catalog lock and evicted partitions die after it, so this pins
+// what that must not break (under TSan via the `concurrency` label):
+//  * every handle held at one time for a role is the same Entry;
+//  * a held Entry is never evicted (re-acquiring it returns it);
+//  * compiles + hits counts every successful Acquire exactly once;
+//  * with every handle released, one more Acquire restores the cap.
+TEST(RoleCatalogTest, ConcurrentAcquireKeepsOneEntryPerRole) {
+  constexpr int kRoles = 64;
+  constexpr int kThreads = 8;
+  constexpr int kAcquiresPerThread = 300;
+  constexpr size_t kWindow = 2;  // recent handles each thread keeps
+  Policy p(TestDtd());
+  for (int i = 0; i < kRoles; ++i) {
+    ASSERT_TRUE(p.AddRole("role" + std::to_string(i)).ok());
+  }
+  gen::GenericParams params;
+  params.seed = 11;
+  auto tree = gen::GenerateFromDtd(p.source_dtd(), params);
+  ASSERT_TRUE(tree.ok());
+  policy::RoleCatalogOptions options;
+  options.role_capacity = 4;
+  policy::RoleCatalog catalog(p, tree.value(), nullptr, options);
+  using Handle = std::shared_ptr<policy::RoleCatalog::Entry>;
+
+  // Per role, the Entry its registered handles point to. A handle is
+  // registered only while held, so its Entry cannot have been evicted and
+  // every Acquire of the role must return that same Entry.
+  struct Registry {
+    std::mutex mu;
+    const policy::RoleCatalog::Entry* entry = nullptr;
+    int holders = 0;
+  };
+  std::vector<Registry> registry(kRoles);
+  std::atomic<int> split_roles{0};
+  std::atomic<int> failed{0};
+  std::atomic<int64_t> acquires{0};
+  auto acquire = [&](RoleId role) -> Handle {
+    auto got = catalog.Acquire(role);
+    if (!got.ok()) {
+      ++failed;
+      return nullptr;
+    }
+    ++acquires;
+    Handle handle = std::move(got.value());
+    Registry& r = registry[role];
+    std::lock_guard<std::mutex> lock(r.mu);
+    if (r.holders > 0 && r.entry != handle.get()) ++split_roles;
+    r.entry = handle.get();
+    ++r.holders;
+    return handle;
+  };
+  auto release = [&](Handle* handle) {
+    {
+      // Deregister before letting go: once dropped, it may be evicted.
+      Registry& r = registry[(*handle)->role()];
+      std::lock_guard<std::mutex> lock(r.mu);
+      --r.holders;
+    }
+    handle->reset();
+  };
+
+  // Threads 0..3 each hold one role for the whole run, more pinned roles
+  // than the catalog's capacity.
+  std::vector<Handle> sticky(kThreads);
+  std::atomic<int> sticky_moved{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937 rng(900 + t);
+      std::uniform_int_distribution<int> pick(0, kRoles - 1);
+      if (t < 4) sticky[t] = acquire(RoleId(t));
+      std::deque<Handle> window;
+      for (int i = 0; i < kAcquiresPerThread; ++i) {
+        if (sticky[t] != nullptr && i % 16 == 0) {
+          Handle again = acquire(sticky[t]->role());
+          if (again.get() != sticky[t].get()) ++sticky_moved;
+          if (again != nullptr) release(&again);
+        }
+        Handle h = acquire(RoleId(pick(rng)));
+        if (h == nullptr) continue;
+        window.push_back(std::move(h));
+        if (window.size() > kWindow) {
+          release(&window.front());
+          window.pop_front();
+        }
+      }
+      for (Handle& h : window) release(&h);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (Handle& h : sticky) {
+    if (h != nullptr) release(&h);
+  }
+
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(split_roles.load(), 0);
+  EXPECT_EQ(sticky_moved.load(), 0);
+  policy::RoleCatalogStats stats = catalog.stats();
+  EXPECT_EQ(stats.compiles + stats.hits, acquires.load());
+  EXPECT_GT(stats.planes_evicted, 0);
+  ASSERT_TRUE(catalog.Acquire(RoleId{0}).ok());
+  EXPECT_LE(catalog.stats().resident, 4);
 }
 
 }  // namespace

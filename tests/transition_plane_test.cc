@@ -11,7 +11,9 @@
 //  * concurrent cold-start interning from many threads is safe and still
 //    bit-identical (run under TSan via the `concurrency` ctest label);
 //  * the store pins MFA lifetimes (keep_alive) and soft-evicts only unused
-//    planes.
+//    planes, least recently touched first;
+//  * chunked stores keep ids and addresses across chunk boundaries, and
+//    ApproxBytes counts the chunks a plane has allocated.
 
 #include <gtest/gtest.h>
 
@@ -60,6 +62,13 @@ std::vector<automata::Mfa> TestQueries(int seed, int count) {
   return mfas;
 }
 
+std::shared_ptr<const automata::Mfa> MfaOf(const char* query) {
+  auto parsed = xpath::ParseQuery(query);
+  EXPECT_TRUE(parsed.ok());
+  return std::make_shared<const automata::Mfa>(
+      automata::CompileQuery(parsed.value()));
+}
+
 void ExpectRunStatsEqual(const EvalStats& a, const EvalStats& b) {
   EXPECT_EQ(a.elements_visited, b.elements_visited);
   EXPECT_EQ(a.cans_vertices, b.cans_vertices);
@@ -80,6 +89,41 @@ TEST(ChunkedStoreTest, StableAddressesAcrossGrowth) {
     EXPECT_EQ(store[i], i);
   }
   EXPECT_EQ(store.size(), 5000);
+}
+
+TEST(ChunkedStoreTest, ChunkBoundariesKeepIdsAndAddresses) {
+  using Store = internal::ChunkedStore<int64_t>;
+  constexpr int kChunks = 12;  // crosses 11 chunk boundaries
+  Store store;
+  std::vector<int64_t*> addrs;
+  const int32_t total = static_cast<int32_t>(Store::ChunkBase(kChunks));
+  for (int32_t i = 0; i < total; ++i) {
+    int32_t id = store.Append();
+    ASSERT_EQ(id, i);
+    store[id] = int64_t{i} * 7;
+    addrs.push_back(&store[id]);
+    // Chunks are allocated whole, so capacity runs ahead of size by at most
+    // the current chunk.
+    EXPECT_EQ(store.capacity(), int64_t{Store::ChunkBase(Store::ChunkOf(i) + 1)});
+  }
+  EXPECT_EQ(Store::ChunkBase(0), 0u);
+  EXPECT_EQ(Store::ChunkBase(1), 8u);  // the first chunk holds 8 elements
+  for (int c = 1; c < kChunks; ++c) {
+    const int32_t first = static_cast<int32_t>(Store::ChunkBase(c));
+    EXPECT_EQ(Store::ChunkOf(first - 1), c - 1) << "chunk " << c;
+    EXPECT_EQ(Store::ChunkOf(first), c) << "chunk " << c;
+    // Each chunk doubles the one before.
+    EXPECT_EQ(Store::ChunkBase(c + 1) - Store::ChunkBase(c),
+              2 * (Store::ChunkBase(c) - Store::ChunkBase(c - 1)));
+    // The last element of one chunk and the first of the next keep their
+    // values and addresses after all later growth.
+    for (int32_t id : {first - 1, first}) {
+      EXPECT_EQ(&store[id], addrs[id]) << "id " << id;
+      EXPECT_EQ(store[id], int64_t{id} * 7) << "id " << id;
+    }
+  }
+  for (int32_t i = 0; i < total; ++i) ASSERT_EQ(&store[i], addrs[i]);
+  EXPECT_EQ(Store::ChunkOf(INT32_MAX), Store::kMaxChunks - 1);
 }
 
 TEST(TransitionPlaneTest, SharedPlaneMatchesSoloBitIdentically) {
@@ -264,15 +308,9 @@ TEST(TransitionPlaneStoreTest, KeepAlivePinsAndEvictionSparesInUsePlanes) {
   options.capacity = 1;
   TransitionPlaneStore store(tree, nullptr, options);
 
-  auto mfa_of = [](const char* q) {
-    auto parsed = xpath::ParseQuery(q);
-    EXPECT_TRUE(parsed.ok());
-    return std::make_shared<const automata::Mfa>(
-        automata::CompileQuery(parsed.value()));
-  };
-  std::shared_ptr<const automata::Mfa> m1 = mfa_of("a/b");
-  std::shared_ptr<const automata::Mfa> m2 = mfa_of("a/c");
-  std::shared_ptr<const automata::Mfa> m3 = mfa_of("//b");
+  std::shared_ptr<const automata::Mfa> m1 = MfaOf("a/b");
+  std::shared_ptr<const automata::Mfa> m2 = MfaOf("a/c");
+  std::shared_ptr<const automata::Mfa> m3 = MfaOf("//b");
 
   // Hold the first plane (an engine would); drop the second immediately.
   std::shared_ptr<TransitionPlane> held = store.For(m1.get(), nullptr, m1);
@@ -283,6 +321,79 @@ TEST(TransitionPlaneStoreTest, KeepAlivePinsAndEvictionSparesInUsePlanes) {
   EXPECT_LE(store.size(), 2u);
   std::shared_ptr<TransitionPlane> held_again = store.For(m1.get());
   EXPECT_EQ(held_again.get(), held.get());
+}
+
+TEST(TransitionPlaneStoreTest, TouchOrderPicksTheVictim) {
+  auto t = xml::ParseXml("<a><b/><c/></a>");
+  ASSERT_TRUE(t.ok());
+  TransitionPlaneStore store(t.value(), nullptr, {.capacity = 2});
+  std::shared_ptr<const automata::Mfa> m1 = MfaOf("a/b");
+  std::shared_ptr<const automata::Mfa> m2 = MfaOf("a/c");
+  std::shared_ptr<const automata::Mfa> m3 = MfaOf("//b");
+  std::shared_ptr<const automata::Mfa> m4 = MfaOf("//c");
+
+  std::weak_ptr<TransitionPlane> p1 = store.For(m1.get(), nullptr, m1);
+  std::weak_ptr<TransitionPlane> p2 = store.For(m2.get(), nullptr, m2);
+  // Touching m1 makes m2 the coldest, so m3's arrival evicts m2, not the
+  // older m1.
+  store.For(m1.get());
+  std::weak_ptr<TransitionPlane> p3 = store.For(m3.get(), nullptr, m3);
+  EXPECT_FALSE(p1.expired());
+  EXPECT_TRUE(p2.expired());
+  EXPECT_EQ(store.stats().evictions, 1);
+  // Now m1 is the coldest.
+  store.For(m4.get(), nullptr, m4);
+  EXPECT_TRUE(p1.expired());
+  EXPECT_FALSE(p3.expired());
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.stats().evictions, 2);
+}
+
+TEST(TransitionPlaneStoreTest, PinnedPlanesAreNeverEvicted) {
+  auto t = xml::ParseXml("<a><b/><c/></a>");
+  ASSERT_TRUE(t.ok());
+  TransitionPlaneStore store(t.value(), nullptr, {.capacity = 1});
+  std::vector<std::shared_ptr<const automata::Mfa>> mfas;
+  for (const char* q : {"a/b", "a/c", "//b", "//c", "a//b", "a//c"}) {
+    mfas.push_back(MfaOf(q));
+  }
+  // The coldest plane is held, as an evaluating engine would hold it.
+  std::shared_ptr<TransitionPlane> held =
+      store.For(mfas[0].get(), nullptr, mfas[0]);
+  for (size_t i = 1; i < mfas.size(); ++i) {
+    store.For(mfas[i].get(), nullptr, mfas[i]);
+    // Residency exceeds the cap only by the pinned plane: each arrival
+    // evicts the one before it, never the colder held one.
+    EXPECT_EQ(store.size(), 2u) << "query " << i;
+  }
+  EXPECT_EQ(store.stats().evictions, static_cast<int64_t>(mfas.size()) - 2);
+  // The held plane is still the one registered; the touch leaves the newest
+  // plane coldest, and it goes.
+  EXPECT_EQ(store.For(mfas[0].get()).get(), held.get());
+  EXPECT_EQ(store.size(), 1u);
+  // Once released, the held plane is evictable like any other.
+  std::weak_ptr<TransitionPlane> released = held;
+  held.reset();
+  store.For(mfas[1].get(), nullptr, mfas[1]);
+  EXPECT_TRUE(released.expired());
+  EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(TransitionPlaneTest, ApproxBytesCountsAllocatedChunks) {
+  xml::Tree tree = TestTree(61);
+  std::shared_ptr<const automata::Mfa> mfa = MfaOf("a/b");
+  TransitionPlaneStore store(tree, nullptr);
+  std::shared_ptr<TransitionPlane> plane = store.For(mfa.get());
+  EXPECT_EQ(plane->ApproxBytes(), 0);  // nothing interned, nothing allocated
+  int64_t interned = 0;
+  ASSERT_GE(plane->ContextConfig(0, &interned), 0);
+  ASSERT_EQ(plane->configs_interned(), 1);
+  // One configuration costs its whole first chunk, which is small: the old
+  // 256-slot configuration and TransAux chunks alone were ~90 KB.
+  const int64_t bytes = plane->ApproxBytes();
+  EXPECT_GE(bytes, int64_t{8 * sizeof(TransitionPlane::Config)});
+  EXPECT_LT(bytes, 16 * 1024);
+  EXPECT_EQ(store.stats().approx_bytes, bytes);
 }
 
 TEST(TransitionPlaneTest, PlaneSeededFromPrebuiltCompiledMfa) {
