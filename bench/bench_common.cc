@@ -153,7 +153,7 @@ int64_t RunEngineOnce(Engine engine, const std::string& query,
     case kHype:
     case kOptHype:
     case kOptHypeC: {
-      hype::HypeOptions options;
+      hype::EvalOptions options;
       options.plane = &PlaneFor(tree);  // shared; evaluators are per-call
       if (engine == kOptHype) {
         options.index = &IndexFor(tree, hype::SubtreeLabelIndex::Mode::kFull);

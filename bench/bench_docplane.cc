@@ -127,7 +127,7 @@ Reference SoloReference(const xml::Tree& tree, const xml::DocPlane& plane,
                         const std::vector<automata::Mfa>& mfas) {
   Reference ref;
   for (const automata::Mfa& mfa : mfas) {
-    hype::HypeOptions options;
+    hype::EvalOptions options;
     options.plane = &plane;
     options.enable_jump = false;
     hype::HypeEvaluator solo(tree, mfa, options);
@@ -177,7 +177,7 @@ void BM_BatchTraversal(benchmark::State& state, bool jump) {
   std::vector<automata::Mfa> mfas = CompileWorkload(SparseNavWorkload());
   std::vector<const automata::Mfa*> ptrs;
   for (const automata::Mfa& m : mfas) ptrs.push_back(&m);
-  hype::BatchHypeOptions options;
+  hype::EvalOptions options;
   options.plane = &plane;
   options.enable_jump = jump;
   hype::BatchHypeEvaluator eval(tree, ptrs, options);
@@ -274,7 +274,7 @@ bool RunWorkload(const xml::Tree& tree, const xml::DocPlane& plane,
   // Batched, full columnar DFS vs jump -- bit-identity gate before timing.
   double* batch_slots[2] = {&out->batch_full_qps, &out->batch_jump_qps};
   for (bool jump : {false, true}) {
-    hype::BatchHypeOptions options;
+    hype::EvalOptions options;
     options.plane = &plane;
     options.enable_jump = jump;
     hype::BatchHypeEvaluator eval(tree, ptrs, options);

@@ -160,7 +160,7 @@ using Answers = std::vector<std::vector<xml::NodeId>>;
 Answers EvalOn(const xml::Tree& tree, const xml::DocPlane& plane,
                const std::vector<const automata::Mfa*>& ptrs,
                hype::TransitionPlaneStore* store) {
-  hype::BatchHypeOptions options;
+  hype::EvalOptions options;
   options.plane = &plane;
   options.plane_store = store;
   hype::BatchHypeEvaluator eval(tree, ptrs, options);

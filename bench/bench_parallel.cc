@@ -165,7 +165,7 @@ void BM_SoloBaseline(benchmark::State& state) {
   std::vector<automata::Mfa> mfas = CompileWorkload(MakeWorkload(batch));
   std::vector<const automata::Mfa*> ptrs;
   for (const automata::Mfa& mfa : mfas) ptrs.push_back(&mfa);
-  hype::BatchHypeOptions options;
+  hype::EvalOptions options;
   options.plane = &PlaneFor(tree);
   hype::BatchHypeEvaluator eval(tree, ptrs, options);
   for (auto _ : state) {
@@ -226,7 +226,7 @@ int WriteJsonSmoke(const std::string& path) {
   for (const automata::Mfa& mfa : mfas) ptrs.push_back(&mfa);
 
   // Solo baseline: the single-threaded batched pass.
-  hype::BatchHypeOptions solo_options;
+  hype::EvalOptions solo_options;
   solo_options.plane = &PlaneFor(tree);
   hype::BatchHypeEvaluator solo(tree, ptrs, solo_options);
   std::vector<std::vector<xml::NodeId>> expected = solo.EvalAll(tree.root());

@@ -161,11 +161,11 @@ int WriteJsonSmoke(const std::string& path) {
   const double cold_start_s = BestSecondsPerRound([&] {
     cold_interned = 0;
     for (const auto& cq : compiled) {
-      smoqe::hype::HypeOptions options;
+      smoqe::hype::TransitionPlaneStore fresh(doc, nullptr);
+      fresh.For(cq.mfa.get(), cq.compiled);  // seed the CSR mirror
+      smoqe::hype::EvalOptions options;
       options.plane = &doc_plane;
-      options.transition_plane =
-          std::make_shared<smoqe::hype::TransitionPlane>(
-              doc, *cq.mfa, cq.compiled, nullptr);
+      options.plane_store = &fresh;
       smoqe::hype::HypeEvaluator eval(doc, *cq.mfa, options);
       benchmark::DoNotOptimize(eval.Eval(doc.root()));
       cold_interned += eval.stats().configs_interned;
@@ -174,9 +174,10 @@ int WriteJsonSmoke(const std::string& path) {
 
   smoqe::hype::TransitionPlaneStore store(doc, nullptr);
   for (const auto& cq : compiled) {
-    smoqe::hype::HypeOptions options;
+    smoqe::hype::EvalOptions options;
     options.plane = &doc_plane;
-    options.transition_plane = store.For(cq.mfa.get(), cq.compiled);
+    store.For(cq.mfa.get(), cq.compiled);  // seed the CSR mirror
+    options.plane_store = &store;
     smoqe::hype::HypeEvaluator warmer(doc, *cq.mfa, options);
     benchmark::DoNotOptimize(warmer.Eval(doc.root()));  // warm the plane
   }
@@ -184,9 +185,9 @@ int WriteJsonSmoke(const std::string& path) {
   const double warm_start_s = BestSecondsPerRound([&] {
     warm_interned = 0;
     for (const auto& cq : compiled) {
-      smoqe::hype::HypeOptions options;
+      smoqe::hype::EvalOptions options;
       options.plane = &doc_plane;
-      options.transition_plane = store.For(cq.mfa.get());
+      options.plane_store = &store;
       smoqe::hype::HypeEvaluator eval(doc, *cq.mfa, options);
       benchmark::DoNotOptimize(eval.Eval(doc.root()));
       warm_interned += eval.stats().configs_interned;

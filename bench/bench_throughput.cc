@@ -171,7 +171,7 @@ void BM_PerQuery(benchmark::State& state) {
   const bool indexed = state.range(1) != 0;
   std::vector<automata::Mfa> mfas = CompileWorkload(MakeWorkload(batch));
 
-  hype::HypeOptions options;
+  hype::EvalOptions options;
   options.index = MaybeIndex(tree, indexed);
   options.plane = &PlaneFor(tree);
   // Persistent evaluators (warm transition tables), answered one pass each.
@@ -201,7 +201,7 @@ void BM_Batched(benchmark::State& state) {
   std::vector<const automata::Mfa*> ptrs;
   for (const automata::Mfa& mfa : mfas) ptrs.push_back(&mfa);
 
-  hype::BatchHypeOptions options;
+  hype::EvalOptions options;
   options.index = MaybeIndex(tree, indexed);
   options.plane = &PlaneFor(tree);
   hype::BatchHypeEvaluator eval(tree, ptrs, options);
@@ -276,7 +276,7 @@ int WriteJsonSmoke(const std::string& path) {
   bool first = true;
   for (bool indexed : {false, true}) {
     for (int batch : {1, 4, 16, 64}) {
-      hype::HypeOptions solo_options;
+      hype::EvalOptions solo_options;
       solo_options.index = MaybeIndex(tree, indexed);
       solo_options.plane = &PlaneFor(tree);
       std::vector<std::unique_ptr<hype::HypeEvaluator>> evals;
@@ -286,7 +286,7 @@ int WriteJsonSmoke(const std::string& path) {
                                                               solo_options));
         ptrs.push_back(&mfas[i]);
       }
-      hype::BatchHypeOptions batch_options;
+      hype::EvalOptions batch_options;
       batch_options.index = solo_options.index;
       batch_options.plane = solo_options.plane;
       hype::BatchHypeEvaluator batch_eval(tree, ptrs, batch_options);

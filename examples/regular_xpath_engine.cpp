@@ -53,7 +53,7 @@ int main() {
 
     smoqe::hype::SubtreeLabelIndex full = smoqe::hype::SubtreeLabelIndex::Build(
         tree, smoqe::hype::SubtreeLabelIndex::Mode::kFull);
-    smoqe::hype::HypeOptions opt;
+    smoqe::hype::EvalOptions opt;
     opt.index = &full;
     t0 = std::chrono::steady_clock::now();
     smoqe::hype::HypeEvaluator opt_eval(tree, mfa, opt);
@@ -63,7 +63,7 @@ int main() {
     smoqe::hype::SubtreeLabelIndex compressed =
         smoqe::hype::SubtreeLabelIndex::Build(
             tree, smoqe::hype::SubtreeLabelIndex::Mode::kCompressed);
-    smoqe::hype::HypeOptions optc;
+    smoqe::hype::EvalOptions optc;
     optc.index = &compressed;
     t0 = std::chrono::steady_clock::now();
     smoqe::hype::HypeEvaluator optc_eval(tree, mfa, optc);

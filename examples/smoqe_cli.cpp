@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
     const smoqe::xml::DocPlane plane =
         smoqe::xml::DocPlane::Build(tree.value());
     smoqe::hype::SubtreeLabelIndex index;
-    smoqe::hype::HypeOptions options;
+    smoqe::hype::EvalOptions options;
     options.plane = &plane;
     if (engine == "opthype") {
       index = smoqe::hype::SubtreeLabelIndex::Build(

@@ -42,14 +42,15 @@
 namespace smoqe {
 
 enum class FaultSite : int {
-  kShardUnit = 0,    // ShardedBatchEvaluator, before evaluating one unit
+  kShardUnit = 0,    // ShardedBatchEvaluator, before one gated job (a unit
+                     // walk or the whole-tree fallback)
   kEpochApply,       // EpochPublisher::Apply, after replica build, pre-publish
   kPlaneIntern,      // TransitionPlane write path (delay only: exercises the
                      // shared_mutex under contention; errors here would poison
                      // the shared per-query plane)
   kServiceAdmit,     // QueryService::Submit admission decision
-  kServiceDispatch,  // dispatcher thread, start of batch collection (delay:
-                     // widens the spurious-wakeup window of the wait loop)
+  kServiceDispatch,  // dispatcher thread, before it collects a batch (delay:
+                     // submissions made meanwhile join that batch)
   kWalAppend,        // storage::WalWriter::Append, before the record write
                      // (torn-write capable: a prefix of the record persists)
   kWalFsync,         // storage::WalWriter::Sync, before the fsync

@@ -117,7 +117,6 @@ void QueryService::Shutdown() {
     // variables after a racing destructor finished tearing them down. A
     // dispatcher that is not parked sees stop_ before it would park.
     for (Parker* parker : parked_) parker->cv.notify_one();
-    hold_cv_.notify_all();
   }
   // First caller joins; concurrent callers block here until the joins
   // complete, so Shutdown() never returns with a dispatcher live.
@@ -178,14 +177,10 @@ std::future<QueryService::Answer> QueryService::Submit(
     pending_.push_back(std::move(p));
     // Under the lock for the same lifetime reason as in Shutdown: after we
     // release mu_, a racing Shutdown/destructor may run to completion, and
-    // the condition variables must not be touched past that point. A
-    // holder only needs waking once its batch is full; with a write
-    // pending no batch may start, so waking a dispatcher is pointless.
-    if (holding_) {
-      if (pending_.size() >= options_.max_batch) hold_cv_.notify_one();
-    } else if (writes_.empty() && !writing_) {
-      WakeOneIfNoneFree();
-    }
+    // the condition variables must not be touched past that point. With a
+    // write pending no batch may start, so waking a dispatcher is
+    // pointless.
+    if (writes_.empty() && !writing_) WakeOneIfNoneFree();
   }
   return result;
 }
@@ -208,13 +203,8 @@ Status QueryService::Apply(xml::TreeDelta delta) {
       return Status::FailedPrecondition("query service is shutting down");
     }
     writes_.push_back(std::move(w));
-    // A holder stops holding so the write goes first; with batches in
-    // flight, the last one to finish applies the write.
-    if (holding_) {
-      hold_cv_.notify_one();
-    } else if (active_batches_ == 0 && !writing_) {
-      WakeOneIfNoneFree();
-    }
+    // With batches in flight, the last one to finish applies the write.
+    if (active_batches_ == 0 && !writing_) WakeOneIfNoneFree();
   }
   return result.get();
 }
@@ -304,40 +294,28 @@ void QueryService::DispatcherLoop() {
       ++free_;
       continue;
     }
-    if (pending_.empty() || !writes_.empty() || writing_ || holding_) {
+    if (pending_.empty() || !writes_.empty() || writing_) {
       // Nothing this dispatcher may start. Work that is blocked (behind a
-      // write, a batch in flight, or a holder) always has a dispatcher
-      // that comes back for it, so on stop this one can exit.
+      // write or a batch in flight) always has a dispatcher that comes
+      // back for it, so on stop this one can exit.
       if (stop_) return;
       Park(lock, self);
       continue;
     }
-    holding_ = true;
 #ifdef SMOQE_FAULT_INJECTION
     if (FaultInjector::armed()) {
-      // Injected dispatcher stall (the aged-batch regression + chaos
-      // suite): sleep OUTSIDE the lock so clients keep submitting while
-      // the dispatcher is wedged -- exactly the storm of wakeups-past-
-      // deadline the admission loop's age re-check below must survive.
+      // Injected dispatcher stall (chaos suite; tests use it to coalesce
+      // several submissions into one batch): sleep OUTSIDE the lock so
+      // clients keep submitting while the dispatcher is wedged. Another
+      // dispatcher may have taken the queue or started a write meanwhile.
       lock.unlock();
       SMOQE_FAULT_DELAY_POINT(FaultSite::kServiceDispatch);
       lock.lock();
+      if (pending_.empty() || !writes_.empty() || writing_) continue;
     }
 #endif
-    // Admission: hold the batch open until it is full or its oldest entry
-    // has aged out (stop closes it immediately -- drain fast; a write
-    // closes it without a batch). With the default max_delay of 0 every
-    // entry has aged out already, so the batch closes at once with
-    // whatever is pending (work-conserving). The age is re-checked on
-    // EVERY wakeup: without the explicit now() check an already-aged batch
-    // woken spuriously would re-enter wait_until instead of closing.
-    const auto deadline = pending_.front().enqueued + options_.max_delay;
-    while (!stop_ && writes_.empty() && pending_.size() < options_.max_batch &&
-           std::chrono::steady_clock::now() < deadline) {
-      hold_cv_.wait_until(lock, deadline);
-    }
-    holding_ = false;
-    if (!writes_.empty()) continue;
+    // Admission is work-conserving: a free dispatcher closes a batch with
+    // whatever is pending, up to max_batch.
     std::vector<Pending> batch;
     const size_t take = std::min(pending_.size(), options_.max_batch);
     batch.reserve(take);
@@ -397,15 +375,14 @@ QueryService::CachedEvaluator* QueryService::CheckOutEvaluator(
       EvictIdleEvaluators(kMaxCachedEvaluators - 1);
   lock.unlock();
   evicted.clear();
-  // Without the pool, a default `num_shards` splits the tree into fewer
-  // units: an inline walk has no helpers to feed, and every unit costs it
-  // a probe and a subtree walk.
+  // Without the pool, the default unit-split target splits the tree into
+  // fewer units: an inline walk has no helpers to feed, and every unit
+  // costs it a probe and a subtree walk.
   ShardedOptions sharded_options;
   sharded_options.index = options_.index;
   sharded_options.plane = plane_;
   sharded_options.plane_store = store;
   sharded_options.pool = pooled ? &pool_ : nullptr;
-  sharded_options.num_shards = options_.num_shards;
   auto built = std::make_unique<CachedEvaluator>(
       *tree_, std::move(sorted_mfas), sharded_options);
   built->last_used = clock;

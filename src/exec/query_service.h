@@ -15,12 +15,10 @@
 // enforced by the randomized multi-client stress suite
 // (tests/exec_service_test.cc).
 //
-// Admission is WORK-CONSERVING by default: as soon as a dispatcher is free
-// it closes a batch with whatever is pending (up to `max_batch`), so an
-// idle service never holds a lone query back. Batching still happens under
-// load -- queries that arrive while every dispatcher is busy form the next
-// batch. A positive `max_delay` adds an explicit hold: a batch then closes
-// when it is full or when its oldest entry has waited `max_delay`.
+// Admission is WORK-CONSERVING: as soon as a dispatcher is free it closes a
+// batch with whatever is pending (up to `max_batch`), so an idle service
+// never holds a lone query back. Batching happens under load -- queries
+// that arrive while every dispatcher is busy form the next batch.
 //
 // Two rules keep low load cheap and tail latency flat:
 //  * WAKE RULE. An event that brings work (a Submit, an Apply, a batch
@@ -42,8 +40,10 @@
 // transition planes mean no role ever observes (or warms) another's compiled
 // state. See policy/role_catalog.h.
 //
-// Threading model: clients touch only the pending queues (`mu_`). The
-// service-level RewriteCache is not thread-safe and sits behind its own
+// Threading model: clients touch only the pending queues (`mu_`); a
+// dispatcher holds `mu_` only to collect a batch or the pending writes and
+// to park, each on its own condition variable. The service-level
+// RewriteCache is not thread-safe and sits behind its own
 // mutex; the catalog and the plane stores are thread-safe. Sharded
 // evaluators are CHECKED OUT of the evaluator cache for one evaluation
 // round, so no two dispatchers ever drive the same one. A durable write is
@@ -109,20 +109,8 @@ struct QueryServiceOptions {
   /// threads; 0 = hardware concurrency.
   int num_threads = 0;
 
-  /// Unit-split target per pass (ShardedOptions::num_shards); 0 = twice
-  /// the pool width for a batch the fan-out gate admits to the pool, and
-  /// ShardedOptions' pool-less default for a batch that runs inline.
-  int num_shards = 0;
-
   /// A batch holds at most this many queries (0 is clamped to 1).
   size_t max_batch = 16;
-
-  /// Admission hold. 0 (the default) is work-conserving: a free dispatcher
-  /// closes a batch with whatever is pending the moment it sees it. A
-  /// positive value holds a batch open until it is full or its oldest
-  /// query has waited this long -- larger batches, at the price of up to
-  /// this much added latency per batch.
-  std::chrono::microseconds max_delay{0};
 
   /// RewriteCache capacity (compiled MFAs kept hot), 0 = unbounded.
   size_t cache_capacity = 1024;
@@ -198,8 +186,8 @@ struct QueryServiceStats {
   int64_t queries_failed = 0;    // parse/rewrite errors
   int64_t batches = 0;
   int64_t batches_full = 0;  // admission closed by reaching max_batch
-  // Admission closed before reaching max_batch: a dispatcher was free
-  // (max_delay 0), the hold expired, or shutdown is draining.
+  // Admission closed before reaching max_batch: a free dispatcher took
+  // whatever was pending.
   int64_t batches_aged = 0;
   int64_t max_batch_seen = 0;
   // Batches the fan-out gate gave the pool (alone in flight, nothing
@@ -396,7 +384,6 @@ class QueryService {
 
   // Queues, dispatcher bookkeeping, and counters.
   mutable std::mutex mu_;
-  std::condition_variable hold_cv_;  // the dispatcher holding a batch open
   std::deque<Pending> pending_;
   std::deque<PendingWrite> writes_;  // drained ahead of query batches
   QueryServiceStats stats_;
@@ -404,7 +391,6 @@ class QueryService {
   std::vector<Parker*> parked_;  // not yet woken; the last parked on top
   int active_batches_ = 0;
   bool writing_ = false;  // a dispatcher is applying writes
-  bool holding_ = false;  // a dispatcher holds a batch open (max_delay)
   bool stop_ = false;
   std::once_flag join_once_;  // exactly one Shutdown caller joins
 

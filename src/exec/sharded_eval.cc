@@ -38,15 +38,19 @@ ShardedBatchEvaluator::ShardedBatchEvaluator(
       options_(options),
       plane_owned_(options.plane == nullptr ? xml::DocPlane::Build(tree)
                                             : xml::DocPlane{}),
-      plane_(options.plane == nullptr ? &plane_owned_ : options.plane),
       store_owned_(options.plane_store == nullptr
                        ? std::make_unique<hype::TransitionPlaneStore>(
                              tree, options.index)
-                       : nullptr),
-      store_(options.plane_store == nullptr ? store_owned_.get()
-                                            : options.plane_store) {
+                       : nullptr) {
+  // Every participant evaluator runs with exactly these options.
+  if (options_.plane == nullptr) options_.plane = &plane_owned_;
+  if (options_.plane_store == nullptr) {
+    options_.plane_store = store_owned_.get();
+  }
   probes_.reserve(mfas_.size());
-  for (const automata::Mfa* mfa : mfas_) probes_.push_back(store_->For(mfa));
+  for (const automata::Mfa* mfa : mfas_) {
+    probes_.push_back(options_.plane_store->For(mfa));
+  }
 }
 
 ShardedBatchEvaluator::~ShardedBatchEvaluator() = default;
@@ -67,7 +71,7 @@ void ShardedBatchEvaluator::BuildPlan(xml::NodeId context) {
   const int target = options_.num_shards > 0 ? options_.num_shards
                                              : std::max(1, 2 * pool_width);
 
-  const xml::DocPlane& plane = *plane_;
+  const xml::DocPlane& plane = *options_.plane;
   auto weight = [&](int32_t pos) {
     return static_cast<int64_t>(plane.extent(pos)) + 1;
   };
@@ -151,7 +155,8 @@ void ShardedBatchEvaluator::ProbeQueries() {
         int32_t parent_cfg = spine_cfg[plan_.spine[j].parent];
         if (parent_cfg < 0) continue;  // pruned above: subtree untouched
         hype::SuccRef succ =
-            probe.Transition(parent_cfg, plane_->label(plan_.spine[j].pos),
+            probe.Transition(parent_cfg,
+                             options_.plane->label(plan_.spine[j].pos),
                              plan_.spine[j].eff, nullptr);
         if (probe.config(succ.config).dead) continue;
         spine_cfg[j] = succ.config;
@@ -191,7 +196,7 @@ void ShardedBatchEvaluator::ProbeQueries() {
                      });
   }
   if (!fallback_queries_.empty()) {
-    const int64_t elements = plane_->extent(plan_.spine[0].pos) + 1;
+    const int64_t elements = options_.plane->extent(plan_.spine[0].pos) + 1;
     jobs_.push_back(
         {-1, elements * static_cast<int64_t>(fallback_queries_.size())});
   }
@@ -201,11 +206,6 @@ void ShardedBatchEvaluator::ProbeQueries() {
 // caller's first, helpers' at the fan-outs that need them) and the fallback
 // evaluator when some query needs it.
 void ShardedBatchEvaluator::EnsureWorkers(size_t count) {
-  hype::BatchHypeOptions batch_options;
-  batch_options.index = options_.index;
-  batch_options.plane = plane_;  // shared read-only across participants
-  batch_options.plane_store = store_;  // one interning universe per query
-  batch_options.enable_jump = options_.enable_jump;
   auto subset = [&](const std::vector<uint32_t>& queries) {
     std::vector<const automata::Mfa*> out;
     out.reserve(queries.size());
@@ -214,11 +214,11 @@ void ShardedBatchEvaluator::EnsureWorkers(size_t count) {
   };
   while (!sharded_queries_.empty() && workers_.size() < count) {
     workers_.push_back(std::make_unique<hype::BatchHypeEvaluator>(
-        tree_, subset(sharded_queries_), batch_options));
+        tree_, subset(sharded_queries_), options_));
   }
   if (!fallback_queries_.empty() && fallback_ == nullptr) {
     fallback_ = std::make_unique<hype::BatchHypeEvaluator>(
-        tree_, subset(fallback_queries_), batch_options);
+        tree_, subset(fallback_queries_), options_);
   }
 }
 
@@ -307,7 +307,15 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
     Participant& part = parts[p];
     EvalGate* gp = gated ? &part.gate : nullptr;
     int64_t visits = 0;
+    // The chaos suite's per-job fault site. A trip here -- or inside the
+    // walk below -- cancels the shared token, so the other participants
+    // stop at their next poll instead of finishing their jobs.
+    if (gp != nullptr) {
+      SMOQE_FAULT_HIT(FaultSite::kShardUnit,
+                      [&](Status s) { part.gate.Trip(std::move(s)); });
+    }
     if (job.unit < 0) {
+      // The fallback pass refreshes the gate on entry.
       fallback_results = fallback_->EvalAll(context, gp);
       AccumulatePass(&part.pass, fallback_->pass_stats());
       for (size_t f = 0; f < fallback_queries_.size(); ++f) {
@@ -315,16 +323,9 @@ std::vector<std::vector<xml::NodeId>> ShardedBatchEvaluator::EvalAllImpl(
       }
       return visits;
     }
-    // Force a real check between units (a unit can be arbitrarily small,
-    // so the countdown alone might span many of them), and give the chaos
-    // suite its per-unit fault site. A trip here -- or inside the walk
-    // below -- cancels the shared token, so the other participants stop at
-    // their next poll instead of finishing their jobs.
-    if (gp != nullptr) {
-      SMOQE_FAULT_HIT(FaultSite::kShardUnit,
-                      [&](Status s) { part.gate.Trip(std::move(s)); });
-      if (!part.gate.Refresh()) return 0;
-    }
+    // Force a real check between units: a unit can be arbitrarily small,
+    // so the countdown alone might span many of them.
+    if (gp != nullptr && !part.gate.Refresh()) return 0;
     hype::BatchHypeEvaluator& worker = *workers_[p];
     unit_answers[job.unit] =
         worker.EvalSubtree(context, plan_.units[job.unit].root, gp);

@@ -69,18 +69,15 @@
 
 namespace smoqe::exec {
 
-struct ShardedOptions {
-  /// Index-based pruning for every query (shared, immutable, read
-  /// concurrently by every participant). Must have been built for the same
-  /// tree.
-  const hype::SubtreeLabelIndex* index = nullptr;
-
-  /// Columnar plane of the served tree (shared, immutable, read
-  /// concurrently by every participant). Built and owned by the evaluator
-  /// when null. The plan partitions on its extents (O(1) subtree sizing
-  /// instead of an O(N) weight pre-pass) and every walk reads it.
-  const xml::DocPlane* plane = nullptr;
-
+/// The evaluation options (index, plane, plane_store, enable_jump; see
+/// hype::EvalOptions) are shared, immutable, and read concurrently by every
+/// participant. The plan partitions on the plane's extents (O(1) subtree
+/// sizing instead of an O(N) weight pre-pass). Without a plane store the
+/// evaluator creates one, so its probes, participants, and the fallback
+/// still intern each configuration once in total instead of once per
+/// participant; the service passes its own so successive batches start
+/// warm. Jump mode applies inside every unit walk and the fallback.
+struct ShardedOptions : hype::EvalOptions {
   /// Pool the helpers of a fan-out run on. Null runs every job inline on
   /// the calling thread (useful as a zero-dependency fallback and in tests).
   /// An EvalAll called FROM a thread of this pool also runs inline --
@@ -88,23 +85,11 @@ struct ShardedOptions {
   /// caller gets correct answers without parallelism instead.
   common::ThreadPool* pool = nullptr;
 
-  /// Shared registry of per-query transition planes (see
-  /// transition_plane.h), created for the same tree and index. The service
-  /// passes its own so successive batches start warm; when null the
-  /// evaluator creates one, so its probes, participants, and the fallback
-  /// still intern each configuration once in total instead of once per
-  /// participant.
-  hype::TransitionPlaneStore* plane_store = nullptr;
-
   /// Unit-split target: the plan splits the heaviest unit into its
   /// children until it holds at least this many units (or nothing is left
-  /// to split). 0 = twice the pool width, slack for the helpers' dynamic
-  /// claiming to smooth unit imbalance.
+  /// to split). 0 = twice the pool width (2 without a pool), slack for the
+  /// helpers' dynamic claiming to smooth unit imbalance.
   int num_shards = 0;
-
-  /// Label-skipping jump mode inside every unit walk (and the fallback);
-  /// see hype/batch_hype.h. Off reproduces the pre-plane behavior.
-  bool enable_jump = true;
 };
 
 struct ShardedStats {
@@ -220,12 +205,10 @@ class ShardedBatchEvaluator {
 
   const xml::Tree& tree_;
   std::vector<const automata::Mfa*> mfas_;
-  ShardedOptions options_;
+  ShardedOptions options_;  // plane and plane_store always set
   xml::DocPlane plane_owned_;  // empty when options.plane was provided
-  const xml::DocPlane* plane_;
   // Null when options.plane_store was provided.
   std::unique_ptr<hype::TransitionPlaneStore> store_owned_;
-  hype::TransitionPlaneStore* store_;
 
   // Each query's shared transition plane, probed to compute the spine
   // configurations, decide shardability, and emit spine-node answers.

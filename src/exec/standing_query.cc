@@ -82,11 +82,9 @@ bool StandingQueryEvaluator::FullEval(
   std::vector<const automata::Mfa*> subset;
   subset.reserve(queries.size());
   for (uint32_t q : queries) subset.push_back(mfas_[q]);
-  hype::BatchHypeOptions batch_options;
-  batch_options.plane = epoch.plane.get();
-  batch_options.plane_store = store_.get();
-  hype::BatchHypeEvaluator eval(*epoch.tree, std::move(subset),
-                                batch_options);
+  hype::BatchHypeEvaluator eval(
+      *epoch.tree, std::move(subset),
+      {.plane = epoch.plane.get(), .plane_store = store_.get()});
   std::vector<std::vector<NodeId>> results =
       eval.EvalAll(epoch.tree->root(), gate);
   if (gate != nullptr && gate->tripped()) return false;
@@ -216,10 +214,9 @@ Status StandingQueryEvaluator::Advance(const xml::PlaneEpoch& next,
     std::vector<const automata::Mfa*> subset;
     subset.reserve(spliced.size());
     for (uint32_t q : spliced) subset.push_back(mfas_[q]);
-    hype::BatchHypeOptions batch_options;
-    batch_options.plane = next.plane.get();
-    batch_options.plane_store = store_.get();
-    hype::BatchHypeEvaluator eval(new_tree, std::move(subset), batch_options);
+    hype::BatchHypeEvaluator eval(
+        new_tree, std::move(subset),
+        {.plane = next.plane.get(), .plane_store = store_.get()});
     std::vector<std::vector<NodeId>> inside =
         eval.EvalSubtree(new_tree.root(), region, gp);
     if (gp != nullptr && gate.tripped()) return gate.status();

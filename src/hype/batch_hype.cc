@@ -8,42 +8,30 @@
 namespace smoqe::hype {
 
 BatchHypeEvaluator::BatchHypeEvaluator(const xml::Tree& tree,
-                                       BatchHypeOptions options)
+                                       std::vector<const automata::Mfa*> mfas,
+                                       EvalOptions options)
     : tree_(tree),
       options_(options),
       plane_owned_(options.plane == nullptr ? xml::DocPlane::Build(tree)
-                                            : xml::DocPlane{}),
-      plane_(options.plane == nullptr ? &plane_owned_ : options.plane) {
-  assert(plane_->size() == tree.CountElements() &&
+                                            : xml::DocPlane{}) {
+  if (options_.plane == nullptr) options_.plane = &plane_owned_;
+  assert(options_.plane->size() == tree.CountElements() &&
          "plane must mirror the evaluated tree");
-}
-
-BatchHypeEvaluator::BatchHypeEvaluator(const xml::Tree& tree,
-                                       std::vector<const automata::Mfa*> mfas,
-                                       BatchHypeOptions options)
-    : BatchHypeEvaluator(tree, options) {
+  assert((options_.plane_store == nullptr ||
+          options_.plane_store->index() == options_.index) &&
+         "shared transition planes must use the evaluator's index");
   engines_.reserve(mfas.size());
-  HypeOptions engine_options;
-  engine_options.index = options_.index;
-  engine_options.plane = plane_;  // text-presence prefilter at pop time
   for (const automata::Mfa* mfa : mfas) {
-    engine_options.transition_plane =
-        options_.plane_store != nullptr ? options_.plane_store->For(mfa)
-                                        : nullptr;
-    engines_.push_back(std::make_unique<HypeEngine>(tree, *mfa, engine_options));
+    std::shared_ptr<TransitionPlane> plane =
+        options_.plane_store != nullptr
+            ? options_.plane_store->For(mfa)
+            : std::make_shared<TransitionPlane>(tree, *mfa, nullptr,
+                                                options_.index);
+    // The plane's text-presence bits prefilter text() predicates at pop time.
+    engines_.push_back(
+        std::make_unique<HypeEngine>(tree, *mfa, std::move(plane),
+                                     options_.plane));
   }
-}
-
-BatchHypeEvaluator::BatchHypeEvaluator(const xml::Tree& tree,
-                                       const automata::Mfa& mfa,
-                                       HypeOptions options)
-    : BatchHypeEvaluator(tree, BatchHypeOptions{.index = options.index,
-                                                .plane = options.plane,
-                                                .enable_jump =
-                                                    options.enable_jump}) {
-  options.plane = plane_;
-  engines_.push_back(
-      std::make_unique<HypeEngine>(tree, mfa, std::move(options)));
 }
 
 int32_t BatchHypeEvaluator::InternState(std::vector<Member> members) {
@@ -158,9 +146,9 @@ bool BatchHypeEvaluator::JumpPlanFor(int32_t state) {
   // either way, this is purely a cost model).
   int64_t posting_mass = 0;
   for (LabelId l : st.jump_labels) {
-    posting_mass += static_cast<int64_t>(plane_->postings(l).size());
+    posting_mass += static_cast<int64_t>(options_.plane->postings(l).size());
   }
-  st.jumpable = posting_mass * 4 < plane_->size();
+  st.jumpable = posting_mass * 4 < options_.plane->size();
   if (!st.jumpable) st.jump_labels.clear();
   return st.jumpable;
 }
@@ -168,7 +156,7 @@ bool BatchHypeEvaluator::JumpPlanFor(int32_t state) {
 void BatchHypeEvaluator::RunJointPass(int32_t top_pos, int32_t top_eff,
                                       int32_t root_state, EvalGate* gate) {
   const SubtreeLabelIndex* index = options_.index;
-  const xml::DocPlane& plane = *plane_;
+  const xml::DocPlane& plane = *options_.plane;
   const bool jump_allowed = options_.enable_jump && index == nullptr;
 
   auto enter = [&](JointState& st, int32_t id, xml::NodeId node) {
@@ -285,7 +273,7 @@ std::vector<std::vector<xml::NodeId>> BatchHypeEvaluator::EvalSubtree(
     return std::vector<std::vector<xml::NodeId>>(engines_.size());
   }
   const SubtreeLabelIndex* index = options_.index;
-  const xml::DocPlane& plane = *plane_;
+  const xml::DocPlane& plane = *options_.plane;
   const int32_t context_pos = plane.pos_of(context);
   const int32_t top_pos = plane.pos_of(top);
 

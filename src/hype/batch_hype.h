@@ -78,28 +78,33 @@
 
 namespace smoqe::hype {
 
-struct BatchHypeOptions {
-  /// When set, enables index-based pruning for every query in the batch; the
-  /// index lookup per node is shared across queries. Must have been built
-  /// for the same tree.
+/// How a HyPE evaluator runs. One option set for every evaluator front
+/// end: HypeEvaluator, BatchHypeEvaluator, and exec::ShardedOptions, which
+/// extends it.
+struct EvalOptions {
+  /// Index-based pruning (OptHyPE / OptHyPE-C, depending on how the index
+  /// was built) for every query; the per-node index lookup is shared across
+  /// the batch. Must have been built for the same tree.
   const SubtreeLabelIndex* index = nullptr;
 
-  /// Columnar plane of the same tree (borrowed, shared read-only). Built
-  /// and owned by the evaluator when null; callers that hold many
-  /// evaluators over one tree (exec::ShardedBatchEvaluator, the service)
-  /// pass a shared plane to avoid per-evaluator rebuilds.
+  /// Columnar plane of the same tree (borrowed, shared read-only). The
+  /// evaluator builds and owns one when null; callers that hold many
+  /// evaluators over one tree pass a shared plane to avoid an O(N) rebuild
+  /// per evaluator.
   const xml::DocPlane* plane = nullptr;
 
   /// Shared registry of per-query transition planes (see
-  /// transition_plane.h); must have been created for the same tree and
-  /// index. Null = each engine keeps a private plane (the pre-plane
-  /// behavior). exec::ShardedBatchEvaluator hands every worker one store so
-  /// all shards intern each configuration once.
+  /// transition_plane.h), created for the same tree and index. Null = each
+  /// engine interns into a private plane. A store shares the planes with
+  /// every other evaluator of the same queries (shard workers, later
+  /// batches), and TransitionPlaneStore::For(mfa, compiled) seeds a plane
+  /// with an already-built CSR mirror.
   TransitionPlaneStore* plane_store = nullptr;
 
   /// Allows the joint driver's jump mode (see the design note above). Off
-  /// forces the full columnar DFS; answers and per-engine statistics are
-  /// identical either way.
+  /// forces the full columnar DFS -- equivalence tests and the bench
+  /// baselines use this; answers and per-engine statistics are identical
+  /// either way.
   bool enable_jump = true;
 };
 
@@ -117,14 +122,7 @@ class BatchHypeEvaluator {
   /// transition plane).
   BatchHypeEvaluator(const xml::Tree& tree,
                      std::vector<const automata::Mfa*> mfas,
-                     BatchHypeOptions options = {});
-
-  /// One-slot evaluator over `mfa` (the HypeEvaluator front end): the engine
-  /// is built from `options` as given, so a caller-supplied
-  /// `options.transition_plane` backs the slot; index, plane and jump mode
-  /// carry over to the driver.
-  BatchHypeEvaluator(const xml::Tree& tree, const automata::Mfa& mfa,
-                     HypeOptions options);
+                     EvalOptions options = {});
 
   /// Evaluates every MFA at `context` in one shared pass; result i is the
   /// sorted answer set of mfas[i] (== HypeEvaluator(tree, *mfas[i]).Eval).
@@ -229,10 +227,6 @@ class BatchHypeEvaluator {
     bool jump;       // posting-driven scan for this frame
   };
 
-  // Shared by both public constructors: options and the owned plane; the
-  // caller adds the engines.
-  BatchHypeEvaluator(const xml::Tree& tree, BatchHypeOptions options);
-
   int32_t InternState(std::vector<Member> members);
   int64_t EdgeFor(JointState& st, int32_t state, LabelId label,
                   int32_t eff_set);
@@ -242,9 +236,8 @@ class BatchHypeEvaluator {
                     EvalGate* gate);
 
   const xml::Tree& tree_;
-  BatchHypeOptions options_;
+  EvalOptions options_;  // plane always set
   xml::DocPlane plane_owned_;  // empty when options.plane was provided
-  const xml::DocPlane* plane_;
   std::vector<std::unique_ptr<HypeEngine>> engines_;
   SharedPassStats pass_stats_;
 

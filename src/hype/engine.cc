@@ -13,15 +13,9 @@ using automata::AfaState;
 using automata::Mfa;
 
 HypeEngine::HypeEngine(const xml::Tree& tree, const Mfa& mfa,
-                       HypeOptions options)
-    : tree_(tree), mfa_(mfa), options_(std::move(options)) {
-  if (options_.transition_plane == nullptr) {
-    options_.transition_plane = std::make_shared<TransitionPlane>(
-        tree_, mfa_, nullptr, options_.index);
-  }
-  trans_ = options_.transition_plane.get();
-  assert(trans_->index() == options_.index &&
-         "shared transition plane must use the engine's index");
+                       std::shared_ptr<TransitionPlane> plane,
+                       const xml::DocPlane* doc_plane)
+    : tree_(tree), mfa_(mfa), trans_(std::move(plane)), doc_plane_(doc_plane) {
   stats_.elements_total = tree_.CountElements();
   nfa_deleted_mark_.assign(mfa_.nfa.size(), 0);
 }
@@ -137,7 +131,7 @@ void HypeEngine::ExitNode(xml::NodeId node) {
   const std::vector<StateId>& freq = config.freq;
 
   if (!freq.empty()) {
-    const xml::DocPlane* plane = options_.plane;
+    const xml::DocPlane* plane = doc_plane_;
     for (int j : config.finals) {
       const AfaState& a = mfa_.afa[freq[j]];
       // Text-presence prefilter: no text child (one plane bit) means a

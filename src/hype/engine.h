@@ -98,31 +98,6 @@ struct EvalStats {
   }
 };
 
-struct HypeOptions {
-  /// When set, enables index-based pruning (OptHyPE / OptHyPE-C depending on
-  /// how the index was built). The index must have been built for the same
-  /// tree.
-  const SubtreeLabelIndex* index = nullptr;
-
-  /// Columnar plane of the same tree (borrowed). Evaluator front-ends
-  /// (HypeEvaluator, BatchHypeEvaluator) build and own one when null and
-  /// hand it down; pass a shared plane to avoid the O(N) rebuild per
-  /// evaluator. The engine never walks, but it uses the plane's
-  /// text-presence bits to short-circuit text() predicates at pop time
-  /// (sound to leave null: predicates are then evaluated via the tree).
-  const xml::DocPlane* plane = nullptr;
-
-  /// Shared compiled query state (see transition_plane.h). Must have been
-  /// built for the same tree, MFA, and index. Null = the engine builds a
-  /// private plane (solo behavior, identical to the pre-split evaluator).
-  std::shared_ptr<TransitionPlane> transition_plane = nullptr;
-
-  /// Allows the traversal driver to engage jump mode (see batch_hype.h).
-  /// Off forces the full columnar DFS -- equivalence tests and the
-  /// bench baseline use this; answers/statistics are identical either way.
-  bool enable_jump = true;
-};
-
 /// Per-query evaluation state of Algorithm HyPE, driven by the batch
 /// sharing driver (batch_hype.h). One evaluation is PrepareRoot (+
 /// BeginFrames where the engine needs frames); the pass; TakeAnswers(). The
@@ -130,8 +105,15 @@ struct HypeOptions {
 /// (repeated or sharded Evals get warm transition tables).
 class HypeEngine {
  public:
+  /// `plane` holds the query's compiled state (shared or private, see
+  /// transition_plane.h); it must have been built for `tree` and `mfa`.
+  /// `doc_plane` is the columnar plane of `tree` (borrowed); the engine
+  /// never walks it, but reads its text-presence bits to short-circuit
+  /// text() predicates at pop time (null is sound: predicates then read
+  /// the tree).
   HypeEngine(const xml::Tree& tree, const automata::Mfa& mfa,
-             HypeOptions options = {});
+             std::shared_ptr<TransitionPlane> plane,
+             const xml::DocPlane* doc_plane);
 
   /// Epilogue for the node the engine last entered: same-node operator
   /// fixpoint, cans deletions, answer reporting, fold into the parent frame.
@@ -248,8 +230,8 @@ class HypeEngine {
 
   const xml::Tree& tree_;
   const automata::Mfa& mfa_;
-  HypeOptions options_;
-  TransitionPlane* trans_;  // = options_.transition_plane.get()
+  std::shared_ptr<TransitionPlane> trans_;
+  const xml::DocPlane* doc_plane_;
   EvalStats stats_;
 
   // Per-run state.

@@ -3,8 +3,8 @@
 namespace smoqe::hype {
 
 HypeEvaluator::HypeEvaluator(const xml::Tree& tree, const automata::Mfa& mfa,
-                             HypeOptions options)
-    : batch_(tree, mfa, std::move(options)) {}
+                             EvalOptions options)
+    : batch_(tree, {&mfa}, options) {}
 
 std::vector<xml::NodeId> HypeEvaluator::Eval(xml::NodeId context) {
   return std::move(batch_.EvalAll(context)[0]);

@@ -48,10 +48,10 @@ namespace smoqe::hype {
 
 class HypeEvaluator {
  public:
-  /// Builds (and owns) the columnar plane of `tree` unless options.plane
-  /// provides a shared one.
+  /// A one-slot BatchHypeEvaluator over `mfa`: builds (and owns) the
+  /// columnar plane of `tree` unless options.plane provides a shared one.
   HypeEvaluator(const xml::Tree& tree, const automata::Mfa& mfa,
-                HypeOptions options = {});
+                EvalOptions options = {});
 
   /// n[[M]]: sorted ids of the answer nodes of the MFA at `context`.
   std::vector<xml::NodeId> Eval(xml::NodeId context);

@@ -41,8 +41,8 @@ struct MaterializedView {
   /// Columnar plane of `tree`, emitted by the materializer's own top-down
   /// recursion (xml::DocPlane::Builder) -- the view is born with its
   /// traversal structure, no second O(N) build pass. Pass it to the
-  /// evaluators serving the view (HypeOptions/BatchHypeOptions/
-  /// ShardedOptions/QueryServiceOptions `.plane`).
+  /// evaluators serving the view (hype::EvalOptions, exec::ShardedOptions
+  /// or exec::QueryServiceOptions `.plane`).
   xml::DocPlane plane;
 };
 

@@ -1,7 +1,10 @@
 #include "xpath/parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdlib>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace smoqe::xpath {
@@ -23,6 +26,7 @@ struct Token {
 StatusOr<std::vector<Token>> Lex(std::string_view in) {
   std::vector<Token> toks;
   size_t i = 0;
+  int open = 0;  // '(' and '[' not yet closed: bounds the parser's recursion
   auto err = [&](std::string what) {
     return Status::ParseError("query: " + what + " (offset " + std::to_string(i) + ")");
   };
@@ -83,10 +87,21 @@ StatusOr<std::vector<Token>> Lex(std::string_view in) {
         continue;
       case '|': toks.push_back({Tok::kPipe, "", start}); ++i; continue;
       case '*': toks.push_back({Tok::kStar, "", start}); ++i; continue;
-      case '(': toks.push_back({Tok::kLParen, "", start}); ++i; continue;
-      case ')': toks.push_back({Tok::kRParen, "", start}); ++i; continue;
-      case '[': toks.push_back({Tok::kLBracket, "", start}); ++i; continue;
-      case ']': toks.push_back({Tok::kRBracket, "", start}); ++i; continue;
+      case '(':
+      case '[':
+        if (++open > kMaxQueryDepth) {
+          return err("nested deeper than " + std::to_string(kMaxQueryDepth) +
+                     " levels");
+        }
+        toks.push_back({c == '(' ? Tok::kLParen : Tok::kLBracket, "", start});
+        ++i;
+        continue;
+      case ')':
+      case ']':
+        if (open > 0) --open;
+        toks.push_back({c == ')' ? Tok::kRParen : Tok::kRBracket, "", start});
+        ++i;
+        continue;
       case '=': toks.push_back({Tok::kEq, "", start}); ++i; continue;
       case '.': toks.push_back({Tok::kDot, "", start}); ++i; continue;
       default:
@@ -97,20 +112,29 @@ StatusOr<std::vector<Token>> Lex(std::string_view in) {
   return toks;
 }
 
+// A parsed subtree with the height of its syntax tree.
+template <typename Ptr>
+struct Parsed {
+  Ptr node;
+  int height = 0;
+};
+using ParsedPath = Parsed<PathPtr>;
+using ParsedFilter = Parsed<FilterPtr>;
+
 class QueryParser {
  public:
   explicit QueryParser(std::vector<Token> toks) : toks_(std::move(toks)) {}
 
   StatusOr<PathPtr> ParseWholeQuery() {
-    SMOQE_ASSIGN_OR_RETURN(PathPtr p, ParseUnion());
+    SMOQE_ASSIGN_OR_RETURN(ParsedPath p, ParseUnion());
     if (Peek() != Tok::kEof) return Err("trailing input after query");
-    return p;
+    return p.node;
   }
 
   StatusOr<FilterPtr> ParseWholeFilter() {
-    SMOQE_ASSIGN_OR_RETURN(FilterPtr f, ParseOrF());
+    SMOQE_ASSIGN_OR_RETURN(ParsedFilter f, ParseOrF());
     if (Peek() != Tok::kEof) return Err("trailing input after filter");
-    return f;
+    return f.node;
   }
 
  private:
@@ -132,23 +156,38 @@ class QueryParser {
                               std::to_string(Cur().offset) + ")");
   }
 
-  StatusOr<PathPtr> ParseUnion() {
-    SMOQE_ASSIGN_OR_RETURN(PathPtr a, ParseSeq());
+  // `node`, built directly above children whose tallest is `below` high --
+  // unless that makes the syntax tree taller than kMaxQueryDepth. Long
+  // step chains, unions and repeated stars grow the tree without nesting
+  // the text; rejecting them here means no tree past the bound is built.
+  template <typename Ptr>
+  StatusOr<Parsed<Ptr>> Above(Ptr node, int below) const {
+    if (below >= kMaxQueryDepth) {
+      return Err("syntax tree deeper than " + std::to_string(kMaxQueryDepth) +
+                 " levels");
+    }
+    return Parsed<Ptr>{std::move(node), below + 1};
+  }
+
+  StatusOr<ParsedPath> ParseUnion() {
+    SMOQE_ASSIGN_OR_RETURN(ParsedPath a, ParseSeq());
     while (Consume(Tok::kPipe)) {
-      SMOQE_ASSIGN_OR_RETURN(PathPtr b, ParseSeq());
-      a = UnionOf(a, b);
+      SMOQE_ASSIGN_OR_RETURN(ParsedPath b, ParseSeq());
+      SMOQE_ASSIGN_OR_RETURN(a, Above(UnionOf(a.node, b.node),
+                                      std::max(a.height, b.height)));
     }
     return a;
   }
 
-  StatusOr<PathPtr> ParseSeq() {
-    PathPtr a;
+  StatusOr<ParsedPath> ParseSeq() {
+    ParsedPath a;
     if (Consume(Tok::kDSlash)) {
-      SMOQE_ASSIGN_OR_RETURN(PathPtr first, ParseStep());
-      a = Seq(DescendantOrSelf(), first);
+      SMOQE_ASSIGN_OR_RETURN(ParsedPath first, ParseStep());
+      // (*)* below the Seq: two levels.
+      SMOQE_ASSIGN_OR_RETURN(a, Above(Seq(DescendantOrSelf(), first.node),
+                                      std::max(2, first.height)));
     } else {
-      SMOQE_ASSIGN_OR_RETURN(PathPtr first, ParseStep());
-      a = first;
+      SMOQE_ASSIGN_OR_RETURN(a, ParseStep());
     }
     for (;;) {
       if (Peek() == Tok::kSlash && Peek(1) == Tok::kTextFn) {
@@ -156,11 +195,14 @@ class QueryParser {
         break;
       }
       if (Consume(Tok::kSlash)) {
-        SMOQE_ASSIGN_OR_RETURN(PathPtr b, ParseStep());
-        a = Seq(a, b);
+        SMOQE_ASSIGN_OR_RETURN(ParsedPath b, ParseStep());
+        SMOQE_ASSIGN_OR_RETURN(
+            a, Above(Seq(a.node, b.node), std::max(a.height, b.height)));
       } else if (Consume(Tok::kDSlash)) {
-        SMOQE_ASSIGN_OR_RETURN(PathPtr b, ParseStep());
-        a = Seq(Seq(a, DescendantOrSelf()), b);
+        SMOQE_ASSIGN_OR_RETURN(ParsedPath b, ParseStep());
+        SMOQE_ASSIGN_OR_RETURN(
+            a, Above(Seq(Seq(a.node, DescendantOrSelf()), b.node),
+                     std::max(std::max(a.height, 2) + 1, b.height)));
       } else {
         break;
       }
@@ -168,15 +210,16 @@ class QueryParser {
     return a;
   }
 
-  StatusOr<PathPtr> ParseStep() {
-    SMOQE_ASSIGN_OR_RETURN(PathPtr p, ParsePrimary());
+  StatusOr<ParsedPath> ParseStep() {
+    SMOQE_ASSIGN_OR_RETURN(ParsedPath p, ParsePrimary());
     for (;;) {
       if (Consume(Tok::kLBracket)) {
-        SMOQE_ASSIGN_OR_RETURN(FilterPtr f, ParseOrF());
+        SMOQE_ASSIGN_OR_RETURN(ParsedFilter f, ParseOrF());
         if (!Consume(Tok::kRBracket)) return Err("expected ']'");
-        p = WithFilter(p, f);
+        SMOQE_ASSIGN_OR_RETURN(
+            p, Above(WithFilter(p.node, f.node), std::max(p.height, f.height)));
       } else if (Consume(Tok::kStar)) {
-        p = Star(p);
+        SMOQE_ASSIGN_OR_RETURN(p, Above(Star(p.node), p.height));
       } else {
         break;
       }
@@ -184,22 +227,22 @@ class QueryParser {
     return p;
   }
 
-  StatusOr<PathPtr> ParsePrimary() {
+  StatusOr<ParsedPath> ParsePrimary() {
     switch (Peek()) {
       case Tok::kDot:
         Advance();
-        return Eps();
+        return ParsedPath{Eps(), 1};
       case Tok::kName: {
-        PathPtr p = Label(Cur().text);
+        ParsedPath p{Label(Cur().text), 1};
         Advance();
         return p;
       }
       case Tok::kStar:
         Advance();
-        return Wildcard();
+        return ParsedPath{Wildcard(), 1};
       case Tok::kLParen: {
         Advance();
-        SMOQE_ASSIGN_OR_RETURN(PathPtr p, ParseUnion());
+        SMOQE_ASSIGN_OR_RETURN(ParsedPath p, ParseUnion());
         if (!Consume(Tok::kRParen)) return Err("expected ')'");
         return p;
       }
@@ -208,55 +251,74 @@ class QueryParser {
     }
   }
 
-  StatusOr<FilterPtr> ParseOrF() {
-    SMOQE_ASSIGN_OR_RETURN(FilterPtr a, ParseAndF());
+  StatusOr<ParsedFilter> ParseOrF() {
+    SMOQE_ASSIGN_OR_RETURN(ParsedFilter a, ParseAndF());
     while (Consume(Tok::kOr)) {
-      SMOQE_ASSIGN_OR_RETURN(FilterPtr b, ParseAndF());
-      a = FOr(a, b);
+      SMOQE_ASSIGN_OR_RETURN(ParsedFilter b, ParseAndF());
+      SMOQE_ASSIGN_OR_RETURN(
+          a, Above(FOr(a.node, b.node), std::max(a.height, b.height)));
     }
     return a;
   }
 
-  StatusOr<FilterPtr> ParseAndF() {
-    SMOQE_ASSIGN_OR_RETURN(FilterPtr a, ParseNotF());
+  StatusOr<ParsedFilter> ParseAndF() {
+    SMOQE_ASSIGN_OR_RETURN(ParsedFilter a, ParseNotF());
     while (Consume(Tok::kAnd)) {
-      SMOQE_ASSIGN_OR_RETURN(FilterPtr b, ParseNotF());
-      a = FAnd(a, b);
+      SMOQE_ASSIGN_OR_RETURN(ParsedFilter b, ParseNotF());
+      SMOQE_ASSIGN_OR_RETURN(
+          a, Above(FAnd(a.node, b.node), std::max(a.height, b.height)));
     }
     return a;
   }
 
-  StatusOr<FilterPtr> ParseNotF() {
+  StatusOr<ParsedFilter> ParseNotF() {
     if (Consume(Tok::kNot)) {
       if (!Consume(Tok::kLParen)) return Err("expected '(' after 'not'");
-      SMOQE_ASSIGN_OR_RETURN(FilterPtr f, ParseOrF());
+      SMOQE_ASSIGN_OR_RETURN(ParsedFilter f, ParseOrF());
       if (!Consume(Tok::kRParen)) return Err("expected ')' after 'not(...'");
-      return FNot(f);
+      return Above(FNot(f.node), f.height);
     }
     return ParseAtomF();
   }
 
-  StatusOr<FilterPtr> ParseAtomF() {
+  // An atom that opens with '(' is either a path group or a boolean group,
+  // and only the path parse can tell: it is tried first and, when it fails,
+  // the atom is re-read as a boolean group. Nested atoms would repeat that
+  // retry at every level, doubling the work per level, so the outcome of
+  // every atom read at a '(' is memoized by token position.
+  StatusOr<ParsedFilter> ParseAtomF() {
+    if (Peek() != Tok::kLParen) return ParseAtomUncached();
+    const size_t start = ti_;
+    auto it = group_atoms_.find(start);
+    if (it == group_atoms_.end()) {
+      StatusOr<ParsedFilter> atom = ParseAtomUncached();
+      it = group_atoms_.emplace(start, GroupAtom{std::move(atom), ti_}).first;
+    }
+    ti_ = it->second.end;
+    return it->second.atom;
+  }
+
+  StatusOr<ParsedFilter> ParseAtomUncached() {
     if (Consume(Tok::kTextFn)) {
       if (!Consume(Tok::kEq)) return Err("expected '=' after text()");
       if (Peek() != Tok::kString) return Err("expected a string literal");
       std::string value = Cur().text;
       Advance();
-      return FTextEquals(Eps(), std::move(value));
+      return ParsedFilter{FTextEquals(Eps(), std::move(value)), 2};
     }
     if (Consume(Tok::kPosFn)) {
       if (!Consume(Tok::kEq)) return Err("expected '=' after position()");
       if (Peek() != Tok::kNumber) return Err("expected a number");
       int k = std::atoi(Cur().text.c_str());
       Advance();
-      return FPositionEquals(k);
+      return ParsedFilter{FPositionEquals(k), 1};
     }
     // Try a path atom first; '(' may open either a path group or a boolean
     // group, and only paths can continue with '/', '*', '[' or '|'.
     size_t saved = ti_;
-    StatusOr<PathPtr> path = ParseUnion();
+    StatusOr<ParsedPath> path = ParseUnion();
     if (path.ok()) {
-      PathPtr p = path.take();
+      ParsedPath p = path.take();
       if (Peek() == Tok::kSlash && Peek(1) == Tok::kTextFn) {
         Advance();
         Advance();
@@ -264,21 +326,27 @@ class QueryParser {
         if (Peek() != Tok::kString) return Err("expected a string literal");
         std::string value = Cur().text;
         Advance();
-        return FTextEquals(p, std::move(value));
+        return Above(FTextEquals(p.node, std::move(value)), p.height);
       }
-      return FPath(p);
+      return Above(FPath(p.node), p.height);
     }
     ti_ = saved;
     if (Consume(Tok::kLParen)) {
-      SMOQE_ASSIGN_OR_RETURN(FilterPtr f, ParseOrF());
+      SMOQE_ASSIGN_OR_RETURN(ParsedFilter f, ParseOrF());
       if (!Consume(Tok::kRParen)) return Err("expected ')'");
       return f;
     }
     return path.status();
   }
 
+  struct GroupAtom {
+    StatusOr<ParsedFilter> atom;
+    size_t end;  // token position after the atom
+  };
+
   std::vector<Token> toks_;
   size_t ti_ = 0;
+  std::unordered_map<size_t, GroupAtom> group_atoms_;  // keyed by start
 };
 
 }  // namespace

@@ -26,6 +26,14 @@
 
 namespace smoqe::xpath {
 
+/// The deepest query the parser accepts: at most this many '(' and '['
+/// open at any point of the text, and a syntax tree at most this many
+/// levels high. Deeper input is a kParseError -- the parser, the rewriter,
+/// the MFA compiler and the syntax tree's own destructor each recurse once
+/// per level, so an unbounded query could exhaust the stack of whichever
+/// thread handles it. Generous for real queries, whose depth is in the tens.
+inline constexpr int kMaxQueryDepth = 256;
+
 StatusOr<PathPtr> ParseQuery(std::string_view input);
 
 /// Parses a bare filter expression (used by tests).

@@ -71,7 +71,7 @@ void CheckEquivalence(const xml::Tree& tree,
 
   for (const SubtreeLabelIndex* index : indexes) {
     // Per-query HyPE must agree with naive.
-    HypeOptions solo_options;
+    EvalOptions solo_options;
     solo_options.index = index;
     std::vector<NodeVec> solo;
     for (size_t i = 0; i < mfas.size(); ++i) {
@@ -90,7 +90,7 @@ void CheckEquivalence(const xml::Tree& tree,
         std::vector<const automata::Mfa*> slice;
         for (size_t i = begin; i < end; ++i) slice.push_back(&mfas[i]);
 
-        BatchHypeOptions options;
+        EvalOptions options;
         options.index = index;
         BatchHypeEvaluator batch(tree, slice, options);
         std::vector<NodeVec> answers = batch.EvalAll(tree.root());

@@ -220,7 +220,7 @@ TEST(CancellationTest, DisabledControlMatchesPlainEval) {
 TEST(CancellationTest, CancellationLatencyBoundedByCheckpointInterval) {
   xml::Tree tree = Hospital(200, 17);
   automata::Mfa mfa = Compile("//diagnosis");
-  hype::HypeOptions options;
+  hype::EvalOptions options;
   options.enable_jump = false;  // one poll per element entry, worst case
   hype::HypeEvaluator eval(tree, mfa, options);
   const int64_t total = tree.CountElements();

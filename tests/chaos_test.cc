@@ -184,7 +184,6 @@ TEST(ChaosTest, SeededFaultStormPreservesEveryInvariant) {
     exec::QueryServiceOptions options;
     options.num_threads = 3;
     options.max_batch = 8;
-    options.max_delay = std::chrono::microseconds(300);
     options.max_queue = 256;
     options.max_queue_age = std::chrono::milliseconds(50);
     options.checkpoint_interval = 64;

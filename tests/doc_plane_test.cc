@@ -306,7 +306,7 @@ int64_t CheckJumpEquivalence(const Tree& tree,
   std::vector<NodeVec> baseline;
   std::vector<hype::EvalStats> baseline_stats;
   for (size_t i = 0; i < mfas.size(); ++i) {
-    hype::HypeOptions off;
+    hype::EvalOptions off;
     off.index = index;
     off.plane = &plane;
     off.enable_jump = false;
@@ -321,7 +321,7 @@ int64_t CheckJumpEquivalence(const Tree& tree,
           << "no-jump solo vs naive: " << queries[i];
     }
 
-    hype::HypeOptions on = off;
+    hype::EvalOptions on = off;
     on.enable_jump = true;
     hype::HypeEvaluator solo_on(tree, mfas[i], on);
     EXPECT_EQ(solo_on.Eval(tree.root()), baseline.back())
@@ -332,7 +332,7 @@ int64_t CheckJumpEquivalence(const Tree& tree,
   }
 
   for (bool jump : {false, true}) {
-    hype::BatchHypeOptions options;
+    hype::EvalOptions options;
     options.index = index;
     options.plane = &plane;
     options.enable_jump = jump;
@@ -463,13 +463,13 @@ TEST(JumpEquivalenceTest, SubtreeContextsMatch) {
   }
   for (NodeId context : contexts) {
     for (size_t i = 0; i < mfas.size(); ++i) {
-      hype::HypeOptions off;
+      hype::EvalOptions off;
       off.plane = &plane;
       off.enable_jump = false;
       hype::HypeEvaluator solo_off(tree, mfas[i], off);
       NodeVec expected = solo_off.Eval(context);
 
-      hype::HypeOptions on = off;
+      hype::EvalOptions on = off;
       on.enable_jump = true;
       hype::HypeEvaluator solo_on(tree, mfas[i], on);
       EXPECT_EQ(solo_on.Eval(context), expected) << "context " << context;

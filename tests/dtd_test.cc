@@ -4,6 +4,7 @@
 #include "dtd/dtd_parser.h"
 #include "dtd/validator.h"
 #include "gen/fixtures.h"
+#include "mutation_fuzz.h"
 #include "xml/parser.h"
 
 namespace smoqe::dtd {
@@ -199,6 +200,12 @@ TEST(ValidatorTest, Fig4TreeConformsToViewDtd) {
   gen::Fig4Tree fig = gen::MakeFig4Tree();
   Status s = ValidateDocument(gen::HospitalViewDtd(), fig.tree);
   EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+TEST(DtdParserFuzzTest, MutatedDtdsYieldAValueOrAStatus) {
+  fuzz::FuzzParser({fuzz::ReadTestdata("hospital.dtd")}, "{}()-><;,*+|#",
+                   20261022,
+                   [](const std::string& text) { return ParseDtd(text); });
 }
 
 }  // namespace

@@ -97,7 +97,7 @@ std::vector<xml::NodeId> RunWith(const xml::Tree& t, std::string_view q,
   auto query = xpath::ParseQuery(q);
   EXPECT_TRUE(query.ok()) << query.status().ToString();
   automata::Mfa mfa = automata::CompileQuery(query.value());
-  HypeOptions options;
+  EvalOptions options;
   options.index = idx;
   HypeEvaluator eval(t, mfa, options);
   auto out = eval.Eval(t.root());
@@ -198,7 +198,7 @@ TEST(IndexTest, EvalFromMidTreeContext) {
   ASSERT_TRUE(query.ok());
   automata::Mfa mfa = automata::CompileQuery(query.value());
   for (const SubtreeLabelIndex* idx : {&full, &compressed}) {
-    HypeOptions options;
+    EvalOptions options;
     options.index = idx;
     HypeEvaluator with_idx(fig.tree, mfa, options);
     HypeEvaluator without(fig.tree, mfa);

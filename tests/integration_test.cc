@@ -188,7 +188,7 @@ TEST(IntegrationTest, IndexedEvaluationEndToEnd) {
 
   hype::SubtreeLabelIndex index = hype::SubtreeLabelIndex::Build(
       source, hype::SubtreeLabelIndex::Mode::kFull);
-  hype::HypeOptions options;
+  hype::EvalOptions options;
   options.index = &index;
   hype::HypeEvaluator opt(source, mfa.value(), options);
   hype::HypeEvaluator plain(source, mfa.value());

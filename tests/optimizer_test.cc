@@ -147,7 +147,7 @@ TEST_P(TrimEquivalencePropertyTest, OptimizedEqualsUnoptimizedEverywhere) {
 
     const hype::SubtreeLabelIndex* modes[] = {nullptr, &full, &compressed};
     for (const hype::SubtreeLabelIndex* index : modes) {
-      hype::HypeOptions options;
+      hype::EvalOptions options;
       options.index = index;
       hype::HypeEvaluator before(t, original, options);
       hype::HypeEvaluator after(t, trimmed, options);

@@ -20,6 +20,7 @@
 #include "dtd/validator.h"
 #include "eval/naive_evaluator.h"
 #include "gen/generic_generator.h"
+#include "mutation_fuzz.h"
 #include "policy/policy.h"
 #include "policy/policy_parser.h"
 #include "policy/role_catalog.h"
@@ -195,6 +196,11 @@ TEST(PolicyParserTest, ParsesRolesInheritanceAndConditions) {
 
   EXPECT_TRUE(p.RootVisible(p.FindRole("staff")));
   EXPECT_FALSE(p.RootVisible(p.FindRole("intern")));
+}
+
+TEST(PolicyParserTest, MutatedSpecsYieldAValueOrAStatus) {
+  fuzz::FuzzParser({kSpec}, "{}()[]-><;,*+#\"'=./", 20261023,
+                   [](const std::string& spec) { return ParsePolicy(spec); });
 }
 
 TEST(PolicyParserTest, RejectsMalformedSpecs) {

@@ -49,7 +49,7 @@ void CheckAllEngines(const xml::Tree& tree, const xpath::PathPtr& query) {
 
   hype::SubtreeLabelIndex full =
       hype::SubtreeLabelIndex::Build(tree, hype::SubtreeLabelIndex::Mode::kFull);
-  hype::HypeOptions opt;
+  hype::EvalOptions opt;
   opt.index = &full;
   hype::HypeEvaluator opt_eval(tree, mfa, opt);
   EXPECT_EQ(opt_eval.Eval(tree.root()), expected)
@@ -57,7 +57,7 @@ void CheckAllEngines(const xml::Tree& tree, const xpath::PathPtr& query) {
 
   hype::SubtreeLabelIndex compressed = hype::SubtreeLabelIndex::Build(
       tree, hype::SubtreeLabelIndex::Mode::kCompressed, 8);
-  hype::HypeOptions optc;
+  hype::EvalOptions optc;
   optc.index = &compressed;
   hype::HypeEvaluator optc_eval(tree, mfa, optc);
   EXPECT_EQ(optc_eval.Eval(tree.root()), expected)

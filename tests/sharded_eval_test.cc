@@ -80,7 +80,7 @@ struct SoloRun {
 
 SoloRun Solo(const xml::Tree& tree, const std::vector<automata::Mfa>& mfas,
              const hype::SubtreeLabelIndex* index, xml::NodeId context) {
-  hype::HypeOptions options;
+  hype::EvalOptions options;
   options.index = index;
   SoloRun run;
   for (const automata::Mfa& mfa : mfas) {

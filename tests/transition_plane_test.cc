@@ -132,13 +132,13 @@ TEST(TransitionPlaneTest, SharedPlaneMatchesSoloBitIdentically) {
     std::vector<automata::Mfa> mfas = TestQueries(round, 8);
     TransitionPlaneStore store(tree, nullptr);
     for (const automata::Mfa& mfa : mfas) {
-      HypeOptions solo_options;
+      EvalOptions solo_options;
       HypeEvaluator solo(tree, mfa, solo_options);
       std::vector<xml::NodeId> want = solo.Eval(tree.root());
 
       std::shared_ptr<TransitionPlane> plane = store.For(&mfa);
-      HypeOptions shared_options;
-      shared_options.transition_plane = plane;
+      EvalOptions shared_options;
+      shared_options.plane_store = &store;  // serves `plane`
       HypeEvaluator first(tree, mfa, shared_options);
       HypeEvaluator second(tree, mfa, shared_options);
       EXPECT_EQ(first.Eval(tree.root()), want);
@@ -162,8 +162,8 @@ TEST(TransitionPlaneTest, WarmStartInternsNothing) {
   TransitionPlaneStore store(tree, nullptr);
   for (const automata::Mfa& mfa : mfas) {
     std::shared_ptr<TransitionPlane> plane = store.For(&mfa);
-    HypeOptions options;
-    options.transition_plane = plane;
+    EvalOptions options;
+    options.plane_store = &store;  // serves `plane`
     HypeEvaluator eval(tree, mfa, options);
     std::vector<xml::NodeId> first = eval.Eval(tree.root());
     int64_t cold = eval.stats().configs_interned;
@@ -181,14 +181,14 @@ TEST(TransitionPlaneTest, IndexedModesShareThePlaneToo) {
     SubtreeLabelIndex index = SubtreeLabelIndex::Build(tree, mode, 4);
     TransitionPlaneStore store(tree, &index);
     for (const automata::Mfa& mfa : mfas) {
-      HypeOptions solo_options;
+      EvalOptions solo_options;
       solo_options.index = &index;
       HypeEvaluator solo(tree, mfa, solo_options);
       std::vector<xml::NodeId> want = solo.Eval(tree.root());
 
-      HypeOptions shared_options;
+      EvalOptions shared_options;
       shared_options.index = &index;
-      shared_options.transition_plane = store.For(&mfa);
+      shared_options.plane_store = &store;
       HypeEvaluator a(tree, mfa, shared_options);
       HypeEvaluator b(tree, mfa, shared_options);
       EXPECT_EQ(a.Eval(tree.root()), want);
@@ -211,7 +211,7 @@ TEST(TransitionPlaneTest, ShardedEvaluatorInternsOncePerQuery) {
   std::vector<std::vector<xml::NodeId>> want;
   std::vector<int64_t> solo_interned;
   for (const automata::Mfa& mfa : mfas) {
-    HypeOptions options;
+    EvalOptions options;
     options.enable_jump = false;
     HypeEvaluator solo(tree, mfa, options);
     want.push_back(solo.Eval(tree.root()));
@@ -274,8 +274,8 @@ TEST(TransitionPlaneConcurrencyTest, ConcurrentColdStartIsBitIdentical) {
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&, t] {
         for (size_t q = 0; q < mfas.size(); ++q) {
-          HypeOptions options;
-          options.transition_plane = planes[q];
+          EvalOptions options;
+          options.plane_store = &store;  // serves planes[q]
           HypeEvaluator eval(tree, mfas[q], options);
           for (int rep = 0; rep < 3; ++rep) {
             if (eval.Eval(tree.root()) != want[q]) ++failures[t];
@@ -405,8 +405,8 @@ TEST(TransitionPlaneTest, PlaneSeededFromPrebuiltCompiledMfa) {
     TransitionPlaneStore store(tree, nullptr);
     std::shared_ptr<TransitionPlane> plane = store.For(&mfa, compiled);
     EXPECT_EQ(&plane->compiled(), compiled.get());  // no re-flattening
-    HypeOptions options;
-    options.transition_plane = plane;
+    EvalOptions options;
+    options.plane_store = &store;  // serves the seeded `plane`
     HypeEvaluator eval(tree, mfa, options);
     HypeEvaluator solo(tree, mfa);
     EXPECT_EQ(eval.Eval(tree.root()), solo.Eval(tree.root()));

@@ -431,7 +431,7 @@ TEST(TreeDeltaTest, HypeVariantsMatchNaiveOnEditedTrees) {
       for (const SubtreeLabelIndex* index :
            {static_cast<const SubtreeLabelIndex*>(nullptr), &full,
             &compressed}) {
-        hype::HypeOptions options;
+        hype::EvalOptions options;
         options.index = index;
         options.plane = &plane;
         hype::HypeEvaluator hype_eval(tree, mfa, options);

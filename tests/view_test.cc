@@ -5,6 +5,7 @@
 #include "eval/naive_evaluator.h"
 #include "gen/fixtures.h"
 #include "gen/hospital_generator.h"
+#include "mutation_fuzz.h"
 #include "view/materializer.h"
 #include "view/view_parser.h"
 #include "xml/parser.h"
@@ -242,6 +243,12 @@ TEST(MaterializerTest, MapToSourceDeduplicates) {
   auto mapped = MapToSource(mat.value(), all);
   EXPECT_TRUE(std::is_sorted(mapped.begin(), mapped.end()));
   EXPECT_TRUE(std::adjacent_find(mapped.begin(), mapped.end()) == mapped.end());
+}
+
+TEST(ViewParserFuzzTest, MutatedSpecsYieldAValueOrAStatus) {
+  fuzz::FuzzParser({fuzz::ReadTestdata("research_view.spec")},
+                   "{}()[]-><;,*+#\"'=./|", 20261021,
+                   [](const std::string& spec) { return ParseView(spec); });
 }
 
 }  // namespace

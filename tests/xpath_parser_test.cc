@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "gen/fixtures.h"
+#include "mutation_fuzz.h"
 #include "xpath/ast.h"
 #include "xpath/parser.h"
 #include "xpath/printer.h"
@@ -229,6 +235,99 @@ TEST(AstTest, CollectLabels) {
 TEST(AstTest, SeqFoldsEps) {
   EXPECT_TRUE(Equals(Seq(Eps(), Label("a")), Label("a")));
   EXPECT_TRUE(Equals(Seq(Label("a"), Eps()), Label("a")));
+}
+
+// ------------------------------------------------------- nesting bound --
+
+std::string Repeat(std::string_view s, int n) {
+  std::string out;
+  out.reserve(s.size() * static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+// (((a))): n groups, syntax tree height 1.
+std::string Parens(int n) { return Repeat("(", n) + "a" + Repeat(")", n); }
+// a[a[a]]: n filters, height 2n + 1 (a filter node and its path atom per
+// level).
+std::string Filters(int n) { return Repeat("a[", n) + "a" + Repeat("]", n); }
+// ((a)*)*: n starred groups, height n + 1.
+std::string Stars(int n) { return Repeat("(", n) + "a" + Repeat(")*", n); }
+
+void ExpectTooDeep(const std::string& query) {
+  auto parsed = ParseQuery(query);
+  ASSERT_FALSE(parsed.ok()) << query.substr(0, 40);
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_NE(parsed.status().message().find("deeper than"), std::string::npos)
+      << parsed.status().message();
+}
+
+// Each shape used to recurse once per level with no limit and overflow the
+// stack; past the bound each is now a parse error.
+TEST(ParserDepthTest, HundredThousandDeepShapesAreParseErrors) {
+  constexpr int kDeep = 100000;
+  ExpectTooDeep(Parens(kDeep));
+  ExpectTooDeep(Filters(kDeep));
+  ExpectTooDeep(Stars(kDeep));
+  // Nesting inside a filter, through the boolean grammar.
+  ExpectTooDeep("a[" + Repeat("not(", kDeep) + "b" + Repeat(")", kDeep) +
+                "]");
+  auto filter = ParseFilterExpr(Repeat("(", kDeep) + "a" + Repeat(")", kDeep));
+  EXPECT_FALSE(filter.ok());
+}
+
+// Chains nest the syntax tree without nesting the text: a/a/a, a|a|a and
+// a*** each build one level per repetition.
+TEST(ParserDepthTest, LongChainsAreBoundedToo) {
+  constexpr int kLong = 100000;
+  ExpectTooDeep("a" + Repeat("/a", kLong));
+  ExpectTooDeep("a" + Repeat("|a", kLong));
+  ExpectTooDeep("a" + Repeat("*", kLong));
+  ExpectTooDeep("a[b" + Repeat(" and b", kLong) + "]");
+  // Within the bound they still parse.
+  EXPECT_NE(MustParse("a" + Repeat("/a", 100)), nullptr);
+}
+
+TEST(ParserDepthTest, ShapesAtTheBoundParseAndOnePastFails) {
+  const int bound = kMaxQueryDepth;
+  EXPECT_NE(MustParse(Parens(bound)), nullptr);
+  ExpectTooDeep(Parens(bound + 1));
+  const int filters = (bound - 1) / 2;  // the most with 2n + 1 <= bound
+  EXPECT_NE(MustParse(Filters(filters)), nullptr);
+  ExpectTooDeep(Filters(filters + 1));
+  EXPECT_NE(MustParse(Stars(bound - 1)), nullptr);  // height == bound
+  ExpectTooDeep(Stars(bound));
+  // A chain of `bound` labels is `bound - 1` Seq levels high above a leaf.
+  EXPECT_NE(MustParse("a" + Repeat("/a", bound - 1)), nullptr);
+  ExpectTooDeep("a" + Repeat("/a", bound));
+}
+
+// An atom opening with '(' is first tried as a path and, failing that,
+// re-read as a boolean group. Nested, that retry used to double the work
+// per level (2^18 re-parses at 18 levels); memoized, it stays linear.
+TEST(ParserDepthTest, NestedGroupRetriesStayLinear) {
+  constexpr int kLevels = 40;
+  const std::string query = "a" + Repeat("[(a", kLevels) + "[b and c]" +
+                            Repeat(" and d)]", kLevels);
+  const auto start = std::chrono::steady_clock::now();
+  PathPtr p = MustParse(query);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(ToString(MustParse(ToString(p))), ToString(p));
+  // Linear work is well under a millisecond; exponential would not finish.
+  EXPECT_LT(elapsed, std::chrono::seconds(5));
+}
+
+// ------------------------------------------------------------ fuzzing --
+
+TEST(ParserFuzzTest, MutatedQueriesYieldAValueOrAStatus) {
+  std::vector<std::string> seeds;
+  std::istringstream cases(fuzz::ReadTestdata("conformance_cases.txt"));
+  for (std::string line; std::getline(cases, line);) {
+    if (line.rfind("query ", 0) == 0) seeds.push_back(line.substr(6));
+  }
+  fuzz::FuzzParser(seeds, "()[]/|*.='\" and", 20261020,
+                   [](const std::string& q) { return ParseQuery(q); });
 }
 
 }  // namespace
