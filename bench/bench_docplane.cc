@@ -140,6 +140,7 @@ Reference SoloReference(const xml::Tree& tree, const xml::DocPlane& plane,
 bool StatsMatch(const hype::EvalStats& a, const hype::EvalStats& b) {
   return a.elements_visited == b.elements_visited &&
          a.cans_vertices == b.cans_vertices && a.cans_edges == b.cans_edges &&
+         a.cans_peak_vertices == b.cans_peak_vertices &&
          a.afa_state_requests == b.afa_state_requests;
 }
 
@@ -257,6 +258,11 @@ struct WorkloadResult {
   int64_t configs_sharded_warm_delta = 0;
   int num_groups = 0;  // participants of the cold sharded pass (>= 2:
                        // it fanned out, so the sharing bar below is live)
+  // Resident cans high-water marks summed over the workload's queries (every
+  // mode reproduces them bit-identically). Phase two runs per filter region,
+  // so each query holds one region at a time; whole-pass cans would raise
+  // this to the queries' total cans_vertices.
+  int64_t cans_peak_vertices = 0;
 };
 
 bool RunWorkload(const xml::Tree& tree, const xml::DocPlane& plane,
@@ -270,6 +276,9 @@ bool RunWorkload(const xml::Tree& tree, const xml::DocPlane& plane,
   for (const automata::Mfa& m : mfas) ptrs.push_back(&m);
 
   const Reference ref = SoloReference(tree, plane, mfas);
+  for (const hype::EvalStats& s : ref.stats) {
+    out->cans_peak_vertices += s.cans_peak_vertices;
+  }
 
   // Batched, full columnar DFS vs jump -- bit-identity gate before timing.
   double* batch_slots[2] = {&out->batch_full_qps, &out->batch_jump_qps};
@@ -403,6 +412,7 @@ int WriteJsonSmoke(const std::string& path) {
                  "\"configs_interned_batch\": %lld, "
                  "\"configs_interned_sharded_cold\": %lld, "
                  "\"configs_interned_sharded_warm_delta\": %lld, "
+                 "\"cans_peak_vertices\": %lld, "
                  "\"shard_groups\": %d}%s\n",
                  r.name.c_str(), r.batch_full_qps, r.batch_jump_qps,
                  r.sharded_baseline_qps, r.sharded_jump_qps, speedup,
@@ -410,6 +420,7 @@ int WriteJsonSmoke(const std::string& path) {
                  static_cast<long long>(r.configs_batch),
                  static_cast<long long>(r.configs_sharded_cold),
                  static_cast<long long>(r.configs_sharded_warm_delta),
+                 static_cast<long long>(r.cans_peak_vertices),
                  r.num_groups, i + 1 < results.size() ? "," : "");
     std::printf(
         "%-13s batch %.0f -> %.0f qps, sharded %.0f -> %.0f qps "

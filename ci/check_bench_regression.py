@@ -16,11 +16,13 @@ Understands all seven smoke formats:
     count, and qps per client count;
   * BENCH_docplane.json: {"workloads": [{"name", "batch_full_qps",
     "batch_jump_qps", "sharded_baseline_qps", "sharded_jump_qps",
-    "configs_interned_*", ...}]} -- gates every qps figure per workload
-    (the >= 1.5x sparse jump-vs-baseline bar itself is enforced inside
-    bench_docplane, after its bit-identity gate) and the interning counters
-    (warm-start interning must not grow vs main: plane sharing must keep
-    re-runs at zero insertions);
+    "configs_interned_*", "cans_peak_vertices", ...}]} -- gates every qps
+    figure per workload (the >= 1.5x sparse jump-vs-baseline bar itself is
+    enforced inside bench_docplane, after its bit-identity gate), the
+    interning counters (warm-start interning must not grow vs main: plane
+    sharing must keep re-runs at zero insertions) and the resident cans
+    high-water mark (phase two runs per filter region, so a return to
+    whole-pass cans graphs grows it);
   * BENCH_rewrite.json: {"compiles_per_sec", "cache_hits_per_sec",
     "cold_starts_per_sec", "warm_starts_per_sec", "counters": {...}} --
     gates the four rates plus the configs_interned counters;
@@ -110,7 +112,8 @@ def extract_counters(data):
         counters[f"rewrite/{name}"] = value
     for row in data.get("workloads", []):  # BENCH_docplane.json
         for key in ("configs_interned_sharded_cold",
-                    "configs_interned_sharded_warm_delta"):
+                    "configs_interned_sharded_warm_delta",
+                    "cans_peak_vertices"):
             if key in row:
                 counters[f"docplane/{row['name']}/{key}"] = row[key]
     for row in data.get("service", []):  # BENCH_parallel.json
@@ -204,7 +207,8 @@ def self_test():
             {"name": "sparse", "batch_full_qps": 1.0, "batch_jump_qps": 2.0,
              "sharded_baseline_qps": 3.0, "sharded_jump_qps": 4.0,
              "configs_interned_sharded_cold": 7,
-             "configs_interned_sharded_warm_delta": 0}]},
+             "configs_interned_sharded_warm_delta": 0,
+             "cans_peak_vertices": 40}]},
         "rewrite": {"compiles_per_sec": 1.0, "cache_hits_per_sec": 2.0,
                     "cold_starts_per_sec": 3.0, "warm_starts_per_sec": 4.0,
                     "counters": {"configs_interned_warm": 0}},
@@ -228,7 +232,7 @@ def self_test():
     expected_metrics = {"throughput": 2, "parallel": 3, "docplane": 4,
                         "rewrite": 4, "mutation": 4, "authz": 4,
                         "recovery": 4}
-    expected_counters = {"throughput": 0, "parallel": 2, "docplane": 2,
+    expected_counters = {"throughput": 0, "parallel": 2, "docplane": 3,
                          "rewrite": 1, "mutation": 1, "authz": 2,
                          "recovery": 3}
     checks = 0
@@ -262,6 +266,13 @@ def self_test():
     wobble["authz"]["sweep"][1]["warm_qps"] = 320.0
     check(compare(authz, wobble, 0.25, 0.0) == [],
           "in-tolerance qps wobble must pass")
+    # A grown cans high-water mark fails (whole-pass cans are back).
+    docplane = fixtures["docplane"]
+    whole_pass = json.loads(json.dumps(docplane))
+    whole_pass["workloads"][0]["cans_peak_vertices"] = 4000
+    check(compare(docplane, whole_pass, 0.25, 0.0)
+          == ["docplane/sparse/cans_peak_vertices"],
+          "cans peak growth must fail the gate")
     # Counter growth fails at zero tolerance.
     grew = json.loads(json.dumps(authz))
     grew["authz"]["counters"]["configs_interned_warm_role"] = 3

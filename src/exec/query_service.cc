@@ -47,8 +47,11 @@ QueryServiceOptions Validated(QueryServiceOptions options) {
 }
 
 // Evaluators beyond this many are evicted, least recently used first,
-// unless checked out. They hold per-shard engines sized by their last
-// walk, so the cap bounds memory, not correctness.
+// unless checked out. Each keeps its joint transition tables and per-shard
+// engines; an engine's retained buffers grow with the deepest path and the
+// largest cans region it has walked (phase two drops each region at its
+// root), not with the document. The cap bounds that memory, not
+// correctness.
 constexpr size_t kMaxCachedEvaluators = 4;
 
 }  // namespace

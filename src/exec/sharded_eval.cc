@@ -13,11 +13,16 @@ namespace smoqe::exec {
 namespace {
 
 // Sums the per-run traversal counters of `add` into `into` (configs_interned
-// is cumulative per engine, so the merge sums it over workers instead).
+// is cumulative per engine, so the merge sums it over workers instead). The
+// cans peak is a max: every cans region lies inside one unit (spine
+// configurations of sharded queries are simple), so the largest unit peak is
+// the largest region, as in a solo run.
 void AccumulateRun(hype::EvalStats* into, const hype::EvalStats& add) {
   into->elements_visited += add.elements_visited;
   into->cans_vertices += add.cans_vertices;
   into->cans_edges += add.cans_edges;
+  into->cans_peak_vertices =
+      std::max(into->cans_peak_vertices, add.cans_peak_vertices);
   into->afa_state_requests += add.afa_state_requests;
 }
 

@@ -5,18 +5,29 @@
 // within one tree node, label edges cross to a child). When an annotated
 // state's AFA evaluates to false at a node, that vertex is deleted,
 // disconnecting every candidate answer that depended on the failed filter.
-// Phase two is a single traversal from the initial vertices: answers are the
-// ν-annotations of reachable, surviving final-state vertices.
+// Answers are the ν-annotations of surviving final-state vertices reachable
+// from the initial vertices.
+//
+// Phase two runs per REGION, not once per pass. The engine opens a region
+// at a node whose parent lies outside every region and takes a Mark there;
+// no edge crosses a region boundary (edges stay within one node or run from
+// the nearest materialized ancestor in the same region), and every deletion
+// in the region happens at a node pop inside its subtree. So when the
+// region root pops, CollectSince(mark) sees the region's complete records:
+// it appends the region's answers and truncates the graph back to the mark.
+// The resident graph is then one region at a time instead of the whole
+// pass, and a completed pass leaves it empty.
 //
 // Phase two is answer-driven: initial and answer vertices are recorded as
-// they appear, so a run without deletions skips the reachability walk
+// they appear, so a region without deletions skips the reachability walk
 // entirely (every recorded vertex is reachable by construction -- it was
-// created by an actual run prefix), and a run with deletions walks with
+// created by an actual run prefix), and a region with deletions walks with
 // reusable epoch-marked scratch instead of per-call allocations.
 
 #ifndef SMOQE_HYPE_CANS_H_
 #define SMOQE_HYPE_CANS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -29,6 +40,16 @@ class CansGraph {
  public:
   using VertexId = int32_t;
 
+  /// The resident sizes at one point of the run; records added after it
+  /// form the region CollectSince walks. A default Mark is the empty graph.
+  struct Mark {
+    int32_t vertices = 0;
+    int32_t edges = 0;
+    int32_t initials = 0;
+    int32_t answers = 0;
+    int64_t deleted = 0;
+  };
+
   /// Clears the graph for a fresh run, keeping the allocated capacity (the
   /// evaluators reuse one graph across Eval calls).
   void Reset() {
@@ -37,6 +58,16 @@ class CansGraph {
     initials_.clear();
     answer_vertices_.clear();
     num_deleted_ = 0;
+    retired_vertices_ = 0;
+    retired_edges_ = 0;
+    peak_vertices_ = 0;
+  }
+
+  Mark mark() const {
+    return {static_cast<int32_t>(vertices_.size()),
+            static_cast<int32_t>(edges_.size()),
+            static_cast<int32_t>(initials_.size()),
+            static_cast<int32_t>(answer_vertices_.size()), num_deleted_};
   }
 
   VertexId AddVertex(bool initial) {
@@ -84,18 +115,34 @@ class CansGraph {
     answer_vertices_.push_back(v);
   }
 
-  /// Phase two: one traversal from the alive initial vertices; returns the
-  /// sorted, deduplicated answers.
+  /// Phase two for the region added since `mark`: appends the answers of
+  /// its alive answer vertices reachable from its alive initial vertices to
+  /// `*out` (unsorted, possibly repeated), then truncates the graph back to
+  /// `mark`.
   ///
-  /// Contract: the builder must only record answers on vertices that are
-  /// reachable from the initial vertices in the DELETION-FREE graph (true
-  /// for HyPE by construction: every vertex is created by an actual run
-  /// prefix). When no vertex was deleted, that reachability is assumed, not
-  /// re-checked -- a disconnected answer vertex would be reported.
-  std::vector<xml::NodeId> CollectAnswers() const;
+  /// Contract: no edge may enter or leave the region, and the builder must
+  /// only record answers on vertices that are reachable from the initial
+  /// vertices in the DELETION-FREE graph (true for HyPE by construction:
+  /// every vertex is created by an actual run prefix). When no vertex of
+  /// the region was deleted, that reachability is assumed, not re-checked
+  /// -- a disconnected answer vertex would be reported.
+  void CollectSince(const Mark& mark, std::vector<xml::NodeId>* out);
 
-  int64_t num_vertices() const { return static_cast<int64_t>(vertices_.size()); }
-  int64_t num_edges() const { return static_cast<int64_t>(edges_.size()); }
+  /// Vertices and edges created since Reset, collected regions included.
+  int64_t num_vertices() const {
+    return retired_vertices_ + static_cast<int64_t>(vertices_.size());
+  }
+  int64_t num_edges() const {
+    return retired_edges_ + static_cast<int64_t>(edges_.size());
+  }
+  /// Vertices currently held (not yet collected).
+  int64_t resident_vertices() const {
+    return static_cast<int64_t>(vertices_.size());
+  }
+  /// High-water mark of resident_vertices() since Reset.
+  int64_t peak_vertices() const {
+    return std::max(peak_vertices_, resident_vertices());
+  }
 
  private:
   struct Vertex {
@@ -116,14 +163,21 @@ class CansGraph {
   std::vector<VertexId> initials_;
   std::vector<VertexId> answer_vertices_;
   int64_t num_deleted_ = 0;
+  // Records of collected regions (they count toward the run's totals).
+  int64_t retired_vertices_ = 0;
+  int64_t retired_edges_ = 0;
+  // Resident size just before the latest truncations (the graph only grows
+  // between them, so these are its local maxima).
+  int64_t peak_vertices_ = 0;
 
-  // Reusable phase-two scratch (epoch-marked visited arrays: cone_ for the
-  // backward cone of the answer vertices, seen_ for the forward walk).
-  // 64-bit epochs: wraparound would silently alias stale marks.
-  mutable std::vector<int64_t> cone_;
-  mutable std::vector<int64_t> seen_;
-  mutable int64_t seen_epoch_ = 0;
-  mutable std::vector<VertexId> work_;
+  // Reusable phase-two scratch, indexed by vertex id minus the region's
+  // first id (epoch-marked visited arrays: cone_ for the backward cone of
+  // the answer vertices, seen_ for the forward walk). 64-bit epochs:
+  // wraparound would silently alias stale marks.
+  std::vector<int64_t> cone_;
+  std::vector<int64_t> seen_;
+  int64_t seen_epoch_ = 0;
+  std::vector<VertexId> work_;
 };
 
 }  // namespace smoqe::hype

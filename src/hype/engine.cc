@@ -31,8 +31,9 @@ int32_t HypeEngine::PrepareRoot(int32_t context_set) {
   stats_.elements_visited = 0;
   stats_.cans_vertices = 0;
   stats_.cans_edges = 0;
+  stats_.cans_peak_vertices = 0;
   stats_.afa_state_requests = 0;
-  direct_answers_.clear();
+  answers_.clear();
   cans_.Reset();
   depth_ = -1;
   return trans_->ContextConfig(context_set, &stats_.configs_interned);
@@ -67,7 +68,7 @@ void HypeEngine::DescendWith(SuccRef succ) {
 // filter guards any run prefix, so final states emit answers directly and no
 // vertices are allocated. A region opens at the first node whose mstates
 // contain an annotated state; its label-move seeds become the region's
-// initial vertices.
+// initial vertices, and its cans records start at the mark taken here.
 void HypeEngine::EnterNode() {
   ++stats_.elements_visited;
   Frame& frame = *frames_[depth_];
@@ -79,6 +80,7 @@ void HypeEngine::EnterNode() {
 
   frame.vcount = 0;
   frame.eff_aux = -1;
+  if (opens_region) frame.cans_mark = cans_.mark();
   if (frame.region) {
     // Resolve the incoming cans edge mapping: from the parent directly, or
     // composed across barren pass-through ancestors.
@@ -200,7 +202,7 @@ void HypeEngine::ExitNode(xml::NodeId node) {
       }
     }
   } else if (config.has_final) {
-    direct_answers_.push_back(node);
+    answers_.push_back(node);
   }
 
   // Label edges nearest-materialized-ancestor state --...--> this node's
@@ -217,14 +219,22 @@ void HypeEngine::ExitNode(xml::NodeId node) {
       if (!parent.fvals[idx] && frame.fvals[k]) parent.fvals[idx] = 1;
     }
   }
+  // Close the region at its root: every deletion in it has happened (all at
+  // pops inside this subtree, this one last), and no cans edge crosses its
+  // boundary, so its records alone decide its answers.
+  if (frame.region && !frame.entered_in_region) {
+    cans_.CollectSince(frame.cans_mark, &answers_);
+  }
   --depth_;
 }
 
 std::vector<xml::NodeId> HypeEngine::TakeAnswers() {
+  assert(cans_.resident_vertices() == 0 && "a completed pass closes regions");
   stats_.cans_vertices = cans_.num_vertices();
   stats_.cans_edges = cans_.num_edges();
-  std::vector<xml::NodeId> answers = cans_.CollectAnswers();
-  answers.insert(answers.end(), direct_answers_.begin(), direct_answers_.end());
+  stats_.cans_peak_vertices = cans_.peak_vertices();
+  std::vector<xml::NodeId> answers = std::move(answers_);
+  answers_.clear();
   // Direct answers of navigation queries arrive in document order already
   // when node ids follow the DFS (pre-order emission): skip the sort then.
   if (!std::is_sorted(answers.begin(), answers.end())) {

@@ -20,9 +20,9 @@
 //    Mfa vectors.
 //
 //  * HypeEngine — the per-RUN state only: the per-depth frames (fstates↑
-//    truth values, cans vertices), the cans DAG, epoch-marked scratch, and
-//    the run statistics. The engine never walks the tree; it reacts to
-//    traversal events:
+//    truth values, cans vertices), the cans DAG of the open filter region,
+//    epoch-marked scratch, and the run statistics. The engine never walks
+//    the tree; it reacts to traversal events:
 //
 //       PrepareRoot(context_set)  reset the run, resolve the context
 //                                 configuration from the context's
@@ -32,8 +32,11 @@
 //       DescendWith(succ)         push a child frame for a memoized plane
 //                                 transition (PeekTransition) + prologue
 //       ExitNode(n)               epilogue: same-node fixpoint, cans
-//                                 deletions, fold fstates↑ into the parent
-//       TakeAnswers()             phase two: collect answers from cans
+//                                 deletions, fold fstates↑ into the parent;
+//                                 at a region root, last, close the region:
+//                                 phase two over its cans records, which
+//                                 are then dropped
+//       TakeAnswers()             sort and dedupe the run's answers
 //
 //    EvalStats::configs_interned counts the plane insertions ATTRIBUTED to
 //    this engine's calls: a solo engine on a private plane reports the same
@@ -81,8 +84,13 @@ namespace smoqe::hype {
 struct EvalStats {
   int64_t elements_total = 0;
   int64_t elements_visited = 0;
+  /// Cans vertices and edges created this run (regions collected at their
+  /// root's pop included).
   int64_t cans_vertices = 0;
   int64_t cans_edges = 0;
+  /// High-water mark of the engine's resident cans vertices this run: the
+  /// largest region, as each region is dropped when its root pops.
+  int64_t cans_peak_vertices = 0;
   int64_t afa_state_requests = 0;
   /// TransitionPlane insertions attributed to this engine's calls (zero on a
   /// fully warm plane; the sum across engines sharing a plane equals the
@@ -116,10 +124,11 @@ class HypeEngine {
              const xml::DocPlane* doc_plane);
 
   /// Epilogue for the node the engine last entered: same-node operator
-  /// fixpoint, cans deletions, answer reporting, fold into the parent frame.
+  /// fixpoint, cans deletions, answer reporting, fold into the parent frame,
+  /// and -- at a region root -- phase two over the region.
   void ExitNode(xml::NodeId node);
 
-  /// Phase two: sorted ids of the answer nodes of the completed pass.
+  /// Sorted, deduplicated ids of the answer nodes of the completed pass.
   std::vector<xml::NodeId> TakeAnswers();
 
   const EvalStats& stats() const { return stats_; }
@@ -153,7 +162,7 @@ class HypeEngine {
   void BeginFrames(int32_t config);
 
   /// Records a direct answer for a frameless engine at `node`.
-  void EmitAnswer(xml::NodeId node) { direct_answers_.push_back(node); }
+  void EmitAnswer(xml::NodeId node) { answers_.push_back(node); }
 
   /// Accounts nodes visited framelessly (batch driver bookkeeping).
   void AddVisited(int64_t n) { stats_.elements_visited += n; }
@@ -204,6 +213,7 @@ class HypeEngine {
     int32_t eff_aux = -1;  // -1: no incoming cans edges to wire
     bool entered_in_region = false;  // region status inherited from the parent
     bool region = false;             // after possibly opening one here
+    CansGraph::Mark cans_mark;       // taken when a region opens here
   };
   Frame& FrameAt(int depth) {
     if (static_cast<size_t>(depth) < frames_.size()) return *frames_[depth];
@@ -234,9 +244,10 @@ class HypeEngine {
   const xml::DocPlane* doc_plane_;
   EvalStats stats_;
 
-  // Per-run state.
+  // Per-run state: the cans records of the open region, and the answers of
+  // the run so far (direct ones and those of collected regions, unsorted).
   CansGraph cans_;
-  std::vector<xml::NodeId> direct_answers_;
+  std::vector<xml::NodeId> answers_;
   int depth_ = -1;
 
   // Scratch (per-depth frames; epoch-marked deleted-state array for the pop

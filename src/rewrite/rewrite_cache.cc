@@ -18,15 +18,32 @@ StatusOr<std::string> RewriteCache::NormalizeQuery(std::string_view query_text) 
   return xpath::ToString(parsed);
 }
 
+const CompiledQuery& RewriteCache::Touch(EntryIt it) {
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it);  // most-recent first
+  return it->query;
+}
+
+void RewriteCache::AddAlias(EntryIt it, std::string_view raw_text) {
+  if (it->aliases.size() >= kMaxAliasesPerEntry) return;
+  it->aliases.emplace_back(raw_text);
+  aliases_.emplace(std::string_view(it->aliases.back()), it);
+}
+
 StatusOr<CompiledQuery> RewriteCache::Get(std::string_view query_text) {
+  auto raw = aliases_.find(query_text);
+  if (raw != aliases_.end()) {
+    ++stats_.raw_hits;
+    return Touch(raw->second);
+  }
+
   SMOQE_ASSIGN_OR_RETURN(xpath::PathPtr parsed, xpath::ParseQuery(query_text));
   std::string key = xpath::ToString(parsed);
 
   auto it = entries_.find(key);
   if (it != entries_.end()) {
-    ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second);  // most-recent first
-    return lru_.front().query;
+    AddAlias(it->second, query_text);
+    return Touch(it->second);
   }
   ++stats_.misses;
 
@@ -43,11 +60,13 @@ StatusOr<CompiledQuery> RewriteCache::Get(std::string_view query_text) {
   query.compiled = std::make_shared<const automata::CompiledMfa>(
       automata::CompiledMfa::Build(*query.mfa));
 
-  lru_.push_front(Entry{std::move(key), query});
+  lru_.push_front(Entry{std::move(key), query, {}});
   entries_.emplace(std::string_view(lru_.front().key), lru_.begin());
+  AddAlias(lru_.begin(), query_text);
 
   if (options_.capacity > 0 && entries_.size() > options_.capacity) {
     const Entry& oldest = lru_.back();
+    for (const std::string& alias : oldest.aliases) aliases_.erase(alias);
     entries_.erase(std::string_view(oldest.key));
     lru_.pop_back();
     ++stats_.evictions;
@@ -56,6 +75,7 @@ StatusOr<CompiledQuery> RewriteCache::Get(std::string_view query_text) {
 }
 
 void RewriteCache::Clear() {
+  aliases_.clear();
   entries_.clear();
   lru_.clear();
 }

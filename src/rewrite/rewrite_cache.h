@@ -13,11 +13,15 @@
 // from the mirror instead of re-flattening the automaton per engine, shard,
 // or batch.
 //
-// Keying: the incoming text is parsed and re-printed through the canonical
-// xpath printer, so all spellings of one query share an entry -- whitespace,
-// redundant parentheses, and the '//' sugar (desugared to /(*)*/ at parse
-// time) all normalize away. Lookups by normalized key still need one parse
-// of the incoming text; that is the cheap prefix of the pipeline.
+// Keying: entries are keyed by NORMALIZED text -- the query parsed and
+// re-printed through the canonical xpath printer -- so all spellings of one
+// query share an entry and one MFA: whitespace, redundant parentheses, and
+// the '//' sugar (desugared to /(*)*/ at parse time) all normalize away.
+// Each entry also records the raw texts that reached it (up to
+// kMaxAliasesPerEntry of them), and a lookup tries the raw text first, so an
+// exact repeat -- the common case for a serving workload -- costs one hash
+// lookup, no parse and no print. Only a raw miss normalizes. Aliases live
+// and die with their entry; the capacity counts entries, not aliases.
 //
 // Two modes:
 //  * view mode  (view != nullptr): queries are rewritten over the view into
@@ -56,6 +60,7 @@ struct RewriteCacheOptions {
 
 struct RewriteCacheStats {
   int64_t hits = 0;
+  int64_t raw_hits = 0;  // the hits served by the raw text, without a parse
   int64_t misses = 0;
   int64_t evictions = 0;
 };
@@ -75,29 +80,43 @@ class RewriteCache {
                         RewriteCacheOptions options = {});
 
   /// The compiled (rewritten) query for `query_text`, from the cache when
-  /// the normalized text was seen before. Parse/rewrite failures are
-  /// returned and not cached.
+  /// the raw or the normalized text was seen before. Parse/rewrite failures
+  /// are returned and not cached.
   StatusOr<CompiledQuery> Get(std::string_view query_text);
 
   /// Canonical cache key for a query text (exposed for tests/diagnostics).
   static StatusOr<std::string> NormalizeQuery(std::string_view query_text);
 
+  /// Raw spellings remembered per entry. Further spellings of a hot query
+  /// still hit, through normalization, but add no memory: a client varying
+  /// the whitespace of one query cannot grow the cache without bound.
+  static constexpr size_t kMaxAliasesPerEntry = 8;
+
   const RewriteCacheStats& stats() const { return stats_; }
   size_t size() const { return entries_.size(); }
+  size_t num_aliases() const { return aliases_.size(); }
   void Clear();
 
  private:
   struct Entry {
     std::string key;
     CompiledQuery query;
+    std::list<std::string> aliases;  // raw texts; aliases_ points into them
   };
+  using EntryIt = std::list<Entry>::iterator;
+
+  /// Moves `it` to the most-recent end and returns its query.
+  const CompiledQuery& Touch(EntryIt it);
+  void AddAlias(EntryIt it, std::string_view raw_text);
 
   const view::ViewDef* view_;
   RewriteCacheOptions options_;
   RewriteCacheStats stats_;
-  // LRU list, most-recent first; the map points into it.
+  // LRU list, most-recent first; both maps point into it, keyed by views of
+  // the entries' own strings (list nodes never move).
   std::list<Entry> lru_;
-  std::unordered_map<std::string_view, std::list<Entry>::iterator> entries_;
+  std::unordered_map<std::string_view, EntryIt> entries_;  // normalized key
+  std::unordered_map<std::string_view, EntryIt> aliases_;  // raw text
 };
 
 }  // namespace smoqe::rewrite

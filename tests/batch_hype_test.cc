@@ -188,6 +188,9 @@ TEST(BatchHypeTest, PerEngineStatsMatchSoloRuns) {
         << queries[i];
     EXPECT_EQ(batch.stats(i).cans_vertices, solo.stats().cans_vertices)
         << queries[i];
+    EXPECT_EQ(batch.stats(i).cans_peak_vertices,
+              solo.stats().cans_peak_vertices)
+        << queries[i];
     visited_sum += solo.stats().elements_visited;
   }
   // The shared walk enters each needed node once; the solo passes re-enter

@@ -281,6 +281,7 @@ void ExpectStatsEqual(const hype::EvalStats& a, const hype::EvalStats& b,
   EXPECT_EQ(a.elements_visited, b.elements_visited) << what;
   EXPECT_EQ(a.cans_vertices, b.cans_vertices) << what;
   EXPECT_EQ(a.cans_edges, b.cans_edges) << what;
+  EXPECT_EQ(a.cans_peak_vertices, b.cans_peak_vertices) << what;
   EXPECT_EQ(a.afa_state_requests, b.afa_state_requests) << what;
 }
 

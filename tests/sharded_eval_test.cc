@@ -110,6 +110,9 @@ void ExpectMatchesSolo(ShardedBatchEvaluator& sharded, xml::NodeId context,
     EXPECT_EQ(sharded.merged_stats(i).cans_vertices,
               solo.stats[i].cans_vertices)
         << queries[i] << " " << setup;
+    EXPECT_EQ(sharded.merged_stats(i).cans_peak_vertices,
+              solo.stats[i].cans_peak_vertices)
+        << queries[i] << " " << setup;
   }
 }
 

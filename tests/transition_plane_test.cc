@@ -73,6 +73,7 @@ void ExpectRunStatsEqual(const EvalStats& a, const EvalStats& b) {
   EXPECT_EQ(a.elements_visited, b.elements_visited);
   EXPECT_EQ(a.cans_vertices, b.cans_vertices);
   EXPECT_EQ(a.cans_edges, b.cans_edges);
+  EXPECT_EQ(a.cans_peak_vertices, b.cans_peak_vertices);
   EXPECT_EQ(a.afa_state_requests, b.afa_state_requests);
 }
 
