@@ -24,27 +24,15 @@ const CompiledQuery& RewriteCache::Touch(EntryIt it) {
   return it->query;
 }
 
-void RewriteCache::AddAlias(EntryIt it, std::string_view raw_text) {
-  if (it->aliases.size() >= kMaxAliasesPerEntry) return;
-  it->aliases.emplace_back(raw_text);
-  aliases_.emplace(std::string_view(it->aliases.back()), it);
-}
-
 StatusOr<CompiledQuery> RewriteCache::Get(std::string_view query_text) {
-  auto raw = aliases_.find(query_text);
-  if (raw != aliases_.end()) {
-    ++stats_.raw_hits;
-    return Touch(raw->second);
-  }
+  auto raw = raw_.find(query_text);
+  if (raw != raw_.end()) return Touch(raw->second);
 
   SMOQE_ASSIGN_OR_RETURN(xpath::PathPtr parsed, xpath::ParseQuery(query_text));
   std::string key = xpath::ToString(parsed);
 
   auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    AddAlias(it->second, query_text);
-    return Touch(it->second);
-  }
+  if (it != entries_.end()) return Touch(it->second);
   ++stats_.misses;
 
   CompiledQuery query;
@@ -60,13 +48,13 @@ StatusOr<CompiledQuery> RewriteCache::Get(std::string_view query_text) {
   query.compiled = std::make_shared<const automata::CompiledMfa>(
       automata::CompiledMfa::Build(*query.mfa));
 
-  lru_.push_front(Entry{std::move(key), query, {}});
+  lru_.push_front(Entry{std::move(key), std::string(query_text), query});
   entries_.emplace(std::string_view(lru_.front().key), lru_.begin());
-  AddAlias(lru_.begin(), query_text);
+  raw_.emplace(std::string_view(lru_.front().raw), lru_.begin());
 
   if (options_.capacity > 0 && entries_.size() > options_.capacity) {
     const Entry& oldest = lru_.back();
-    for (const std::string& alias : oldest.aliases) aliases_.erase(alias);
+    raw_.erase(std::string_view(oldest.raw));
     entries_.erase(std::string_view(oldest.key));
     lru_.pop_back();
     ++stats_.evictions;
@@ -75,7 +63,7 @@ StatusOr<CompiledQuery> RewriteCache::Get(std::string_view query_text) {
 }
 
 void RewriteCache::Clear() {
-  aliases_.clear();
+  raw_.clear();
   entries_.clear();
   lru_.clear();
 }

@@ -17,11 +17,10 @@
 // re-printed through the canonical xpath printer -- so all spellings of one
 // query share an entry and one MFA: whitespace, redundant parentheses, and
 // the '//' sugar (desugared to /(*)*/ at parse time) all normalize away.
-// Each entry also records the raw texts that reached it (up to
-// kMaxAliasesPerEntry of them), and a lookup tries the raw text first, so an
-// exact repeat -- the common case for a serving workload -- costs one hash
-// lookup, no parse and no print. Only a raw miss normalizes. Aliases live
-// and die with their entry; the capacity counts entries, not aliases.
+// Each entry also keeps the raw text that created it, and a lookup tries the
+// raw text first, so repeating that exact text costs one hash lookup, no
+// parse and no print. Any other spelling parses and normalizes, then hits
+// the same entry. The raw key lives and dies with its entry.
 //
 // Two modes:
 //  * view mode  (view != nullptr): queries are rewritten over the view into
@@ -60,7 +59,6 @@ struct RewriteCacheOptions {
 
 struct RewriteCacheStats {
   int64_t hits = 0;
-  int64_t raw_hits = 0;  // the hits served by the raw text, without a parse
   int64_t misses = 0;
   int64_t evictions = 0;
 };
@@ -87,27 +85,20 @@ class RewriteCache {
   /// Canonical cache key for a query text (exposed for tests/diagnostics).
   static StatusOr<std::string> NormalizeQuery(std::string_view query_text);
 
-  /// Raw spellings remembered per entry. Further spellings of a hot query
-  /// still hit, through normalization, but add no memory: a client varying
-  /// the whitespace of one query cannot grow the cache without bound.
-  static constexpr size_t kMaxAliasesPerEntry = 8;
-
   const RewriteCacheStats& stats() const { return stats_; }
   size_t size() const { return entries_.size(); }
-  size_t num_aliases() const { return aliases_.size(); }
   void Clear();
 
  private:
   struct Entry {
     std::string key;
+    std::string raw;  // the text that created the entry
     CompiledQuery query;
-    std::list<std::string> aliases;  // raw texts; aliases_ points into them
   };
   using EntryIt = std::list<Entry>::iterator;
 
   /// Moves `it` to the most-recent end and returns its query.
   const CompiledQuery& Touch(EntryIt it);
-  void AddAlias(EntryIt it, std::string_view raw_text);
 
   const view::ViewDef* view_;
   RewriteCacheOptions options_;
@@ -116,7 +107,7 @@ class RewriteCache {
   // the entries' own strings (list nodes never move).
   std::list<Entry> lru_;
   std::unordered_map<std::string_view, EntryIt> entries_;  // normalized key
-  std::unordered_map<std::string_view, EntryIt> aliases_;  // raw text
+  std::unordered_map<std::string_view, EntryIt> raw_;      // raw text
 };
 
 }  // namespace smoqe::rewrite

@@ -1,5 +1,5 @@
 // RewriteCache: normalized-text keying (hits across spellings), the raw-text
-// alias path, LRU eviction, error propagation, and the cached MFA answering
+// key, LRU eviction, error propagation, and the cached MFA answering
 // exactly like a freshly rewritten/compiled one.
 
 #include <gtest/gtest.h>
@@ -53,41 +53,42 @@ TEST(RewriteCacheTest, NormalizationMergesSpellings) {
   EXPECT_EQ(cache.stats().hits, 3);
 }
 
-TEST(RewriteCacheTest, ExactRepeatHitsWithoutNormalizing) {
+TEST(RewriteCacheTest, ExactRepeatHitsTheSameEntry) {
   RewriteCache cache(nullptr);
   auto first = cache.Get("a/b[c]");
   auto again = cache.Get("a/b[c]");
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(first.value().mfa.get(), again.value().mfa.get());
+  EXPECT_EQ(first.value().compiled.get(), again.value().compiled.get());
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().raw_hits, 1);
 }
 
-TEST(RewriteCacheTest, SpellingsShareOneEntryThroughAliases) {
+TEST(RewriteCacheTest, SpellingsShareOneEntry) {
   RewriteCache cache(nullptr);
   auto a = cache.Get("//diagnosis");
-  // A new spelling normalizes once, then is an alias of the same entry.
+  // Another spelling normalizes onto the entry the first one created.
   auto b = cache.Get("( //diagnosis )");
   auto b_again = cache.Get("( //diagnosis )");
+  auto a_again = cache.Get("//diagnosis");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_TRUE(b_again.ok());
+  ASSERT_TRUE(a_again.ok());
   EXPECT_EQ(a.value().mfa.get(), b.value().mfa.get());
   EXPECT_EQ(a.value().mfa.get(), b_again.value().mfa.get());
+  EXPECT_EQ(a.value().mfa.get(), a_again.value().mfa.get());
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.num_aliases(), 2u);
   EXPECT_EQ(cache.stats().misses, 1);
-  EXPECT_EQ(cache.stats().hits, 2);
-  EXPECT_EQ(cache.stats().raw_hits, 1);
+  EXPECT_EQ(cache.stats().hits, 3);
 }
 
-TEST(RewriteCacheTest, CapacityCountsEntriesNotAliases) {
+TEST(RewriteCacheTest, CapacityCountsEntriesNotSpellings) {
   RewriteCacheOptions options;
   options.capacity = 2;
   RewriteCache cache(nullptr, options);
-  // Many spellings of one query: one entry, aliases capped per entry.
+  // Many spellings of one query make one entry.
   std::string spelling = "a";
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(cache.Get(spelling).ok());
@@ -98,24 +99,23 @@ TEST(RewriteCacheTest, CapacityCountsEntriesNotAliases) {
   EXPECT_EQ(cache.stats().evictions, 0);
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_EQ(cache.stats().hits, 19);
-  EXPECT_EQ(cache.num_aliases(), RewriteCache::kMaxAliasesPerEntry + 1);
 }
 
-TEST(RewriteCacheTest, EvictionDropsTheEntrysAliases) {
+TEST(RewriteCacheTest, EvictionDropsTheRawKey) {
   RewriteCacheOptions options;
   options.capacity = 1;
   RewriteCache cache(nullptr, options);
   ASSERT_TRUE(cache.Get("a").ok());
-  ASSERT_TRUE(cache.Get(" a ").ok());
-  EXPECT_EQ(cache.num_aliases(), 2u);
-  ASSERT_TRUE(cache.Get("b").ok());  // evicts 'a' and both its spellings
+  ASSERT_TRUE(cache.Get("b").ok());  // evicts 'a' with its raw key
   EXPECT_EQ(cache.stats().evictions, 1);
-  EXPECT_EQ(cache.num_aliases(), 1u);
-  ASSERT_TRUE(cache.Get(" a ").ok());  // gone with its entry: a fresh miss
+  ASSERT_TRUE(cache.Get("a").ok());  // gone with its entry: a fresh miss
   EXPECT_EQ(cache.stats().misses, 3);
-  EXPECT_EQ(cache.stats().raw_hits, 0);
+  EXPECT_EQ(cache.stats().hits, 0);
+  EXPECT_EQ(cache.size(), 1u);
   cache.Clear();
-  EXPECT_EQ(cache.num_aliases(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  ASSERT_TRUE(cache.Get("a").ok());
+  EXPECT_EQ(cache.stats().misses, 4);
 }
 
 TEST(RewriteCacheTest, CompiledMirrorMatchesMfa) {
